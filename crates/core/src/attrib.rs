@@ -21,9 +21,9 @@
 //!
 //! Root client ops are `client.get`, `client.get_many`, `client.put`
 //! (the write path's root span, whose serve leg is the daemon's
-//! `daemon.write_serve`) and `client.range` (the byte-range read path,
+//! `daemon.write_serve`), `client.range` (the byte-range read path,
 //! whose decode leg is `client.assemble` — chunk stitching rather than
-//! decompression).
+//! decompression) and `client.tier` (the fidelity-bounded read path).
 //!
 //! `network` is therefore RPC time *not* explained by the daemon's
 //! queue or service; `cache` is time inside the root client span not
@@ -62,6 +62,7 @@ fn classify(stage: &str) -> Option<(usize, u8)> {
         "client.admit" => Some((0, 2)),
         "fabric.rpc" => Some((2, 1)),
         "client.get" | "client.get_many" | "client.put" | "client.range" => Some((5, 0)),
+        "client.tier" => Some((5, 0)),
         _ => None,
     }
 }

@@ -20,12 +20,13 @@ use parking_lot::Mutex;
 
 use crate::backend::Backend;
 use crate::daemon::{
-    decode_get_many_reply, decode_get_many_reply_v2, decode_get_reply, encode_get_many_request,
-    encode_get_many_request_v2, tags, GetManyItem, GetManySpec, MAX_BATCH,
+    decode_get_many_reply_v2, encode_get_many_request_v2, status, tags, GetManyItem, GetManySpec,
+    MAX_BATCH,
 };
 use crate::meta::encode_single;
 use crate::metrics::{now_us, Counter, Gauge, Histogram};
-use crate::node::NodeState;
+use crate::node::{NodeState, RangeChunk, RangePieces};
+use crate::pack::CHUNKED;
 use crate::placement::replicas_of;
 use crate::qos::{QosPolicy, SloTracker, TenantId, TokenBucket};
 use crate::stat::FileStat;
@@ -542,39 +543,54 @@ impl FsClient {
         Ok(fd)
     }
 
-    /// Fetch decompressed contents, populating the cache (shared by
-    /// `open` and `read_whole`). When timing is on, the whole operation
-    /// is one request: it gets a fresh [`NodeState::next_request_id`],
-    /// its latency lands in `client.get.latency_us`, and a `client.get`
-    /// span (plus per-stage children) is recorded.
-    fn fetch(&self, path: &str) -> Result<Arc<Vec<u8>>, FsError> {
+    /// The prologue every read operation runs under: token-bucket
+    /// admission, the op deadline, then `op(request, deadline_us)`. When
+    /// timing is on the operation is one request: it gets a fresh
+    /// [`NodeState::next_request_id`] — minted before admission so backoff
+    /// waits are attributable (with QoS attached the admit leg becomes a
+    /// `client.admit` child span) — its latency lands in `latency` (when
+    /// given) and the tenant's SLO, and a `root` span covers it. A
+    /// throttled op never ran: no latency, no root span.
+    fn read_op<T>(
+        &self,
+        path: &str,
+        root: &str,
+        latency: Option<&Histogram>,
+        op: impl FnOnce(u64, u64) -> Result<T, FsError>,
+    ) -> Result<T, FsError> {
         if !self.timed {
             self.admit(path)?;
-            let deadline = self.op_deadline_us();
-            return self.fetch_inner(path, 0, deadline);
+            return op(0, self.op_deadline_us());
         }
-        // The request id is minted before admission so backoff waits are
-        // attributable: with QoS attached the admit leg becomes a
-        // `client.admit` child span of this request.
         let request = self.state.next_request_id();
         let start = now_us();
         let admitted = self.admit(path);
         if self.qos.is_some() {
             self.span(request, "client.admit", start);
         }
-        // A throttled op never ran: no get latency, no root span.
         admitted?;
-        let deadline = self.op_deadline_us();
-        let out = self.fetch_inner(path, request, deadline);
+        let out = op(request, self.op_deadline_us());
         let elapsed = now_us().saturating_sub(start);
-        self.metrics.get_latency.record_with_exemplar(elapsed, request);
+        if let Some(h) = latency {
+            h.record_with_exemplar(elapsed, request);
+        }
         if let Some(q) = &self.qos {
             q.observe_latency(elapsed, request);
         }
-        self.span(request, "client.get", start);
+        self.span(request, root, start);
         out
     }
 
+    /// Fetch decompressed contents, populating the cache (shared by
+    /// `open` and `read_whole`): one `client.get` request.
+    fn fetch(&self, path: &str) -> Result<Arc<Vec<u8>>, FsError> {
+        self.read_op(path, "client.get", Some(&self.metrics.get_latency), |request, deadline| {
+            self.fetch_inner(path, request, deadline)
+        })
+    }
+
+    /// Cache → local backend → remote whole-file read. The result is
+    /// cached and holds one open-count.
     fn fetch_inner(
         &self,
         path: &str,
@@ -584,135 +600,101 @@ impl FsClient {
         if let Some(local) = self.state.open_local(path)? {
             return Ok(local);
         }
-        // Remote: find the owner from the replicated metadata. No
-        // metadata entry means the path genuinely does not exist.
-        let owner = self.state.owner_of(path).ok_or_else(|| FsError::NotFound(path.to_string()))?;
-        let remote_err = if owner == self.state.rank || owner >= self.state.size {
-            // Metadata says the bytes should be here (or nowhere valid)
-            // but the local backend came up empty.
-            FsError::NotFound(path.to_string())
-        } else {
-            match self.fetch_remote(path, owner, request, deadline_us) {
-                Ok(plain) => {
-                    self.sync_fabric_gauges();
-                    return Ok(self.state.cache.insert(path, Arc::new(plain)));
-                }
-                Err(e) => {
-                    self.sync_fabric_gauges();
-                    e
-                }
-            }
-        };
-        // Last resort: read through to the backing store — the paper's
-        // shared file system, which always holds every partition.
-        if let Some(backend) = &self.read_through {
-            if let Some(obj) = backend.get(path) {
-                let plain = self.state.decompress_timed(
-                    obj.codec,
-                    &obj.data,
-                    obj.stat.size as usize,
-                    path,
-                )?;
-                self.state.stats.read_through_reads.inc();
-                self.state.stats.degraded_reads.inc();
-                self.record(Op::Degraded, path, 0);
-                return Ok(self.state.cache.insert(path, Arc::new(plain)));
-            }
-        }
-        Err(remote_err)
+        let plain = self.read_remote(&GetManySpec::whole(path), request, deadline_us)?;
+        Ok(self.state.cache.insert(path, Arc::new(plain)))
     }
 
-    /// One GET attempt against `replica`: rpc (optionally under the
-    /// failover deadline), CRC-verified decode, decompress. The rpc leg
-    /// lands in `fabric.rpc.latency_us` / a `fabric.rpc` span; the
-    /// decompress leg in the codec histograms / a `client.decompress`
-    /// span.
-    fn try_get(
+    /// The one remote read attempt: a GET_MANY rpc for `specs` to `rank`
+    /// (under `timeout`, carrying the op's request id, tenant and
+    /// deadline), decoded into one item per spec. The rpc leg lands in
+    /// `fabric.rpc.latency_us` / a `fabric.rpc` span; a SHED reply, every
+    /// served entry and its payload bytes are counted in the node stats.
+    /// A dropped conduit or an elapsed deadline both mean "unreachable":
+    /// [`FsError::Timeout`].
+    fn get_many_rpc(
         &self,
-        path: &str,
-        replica: usize,
+        rank: usize,
+        specs: &[GetManySpec],
         timeout: Option<Duration>,
         request: u64,
         deadline_us: u64,
-    ) -> Result<Vec<u8>, FsError> {
-        let payload = path.as_bytes().to_vec();
+    ) -> Result<Vec<Result<GetManyItem, FsError>>, FsError> {
+        let payload = encode_get_many_request_v2(specs);
         let rpc_start = if self.timed { now_us() } else { 0 };
         let meta = self.rpc_meta(request, deadline_us);
-        let reply =
-            self.service.rpc_with_meta(replica, tags::GET, payload, timeout, meta).map_err(|e| {
-                match e {
-                    // A dead peer surfaces as a dropped conduit (blackholed
-                    // request) or an elapsed deadline; both mean "unreachable".
-                    CommError::Timeout | CommError::Disconnected => {
-                        FsError::Timeout(format!("GET {path} from rank {replica}"))
-                    }
-                    other => FsError::Comm(other.to_string()),
-                }
-            });
+        let reply = self.service.rpc_with_meta(rank, tags::GET_MANY, payload, timeout, meta);
         if self.timed {
             self.metrics
                 .rpc_latency
                 .record_with_exemplar(now_us().saturating_sub(rpc_start), request);
             self.span(request, "fabric.rpc", rpc_start);
         }
-        let reply = reply?;
-        let decoded = decode_get_reply(&reply);
-        if let Err(FsError::Shed(_)) = &decoded {
+        let reply = reply.map_err(|e| match e {
+            CommError::Timeout | CommError::Disconnected => {
+                FsError::Timeout(format!("GET_MANY {} from rank {rank}", specs[0].path))
+            }
+            other => FsError::Comm(other.to_string()),
+        })?;
+        let items = decode_get_many_reply_v2(&reply, specs.len());
+        if let Err(FsError::Shed(_)) = &items {
             // The daemon answered SHED: deadline unmeetable or queue
             // full. Retryable — the caller walks replicas / read-through.
             self.state.stats.shed_replies.inc();
         }
-        let (codec, stat, compressed) = decoded?;
-        self.state.stats.remote_opens.inc();
-        self.state.stats.remote_bytes.add(compressed.len() as u64);
-        let dec_start = if self.timed { now_us() } else { 0 };
-        let plain = self.state.decompress_timed(codec, &compressed, stat.size as usize, path)?;
-        if self.timed {
-            self.span(request, "client.decompress", dec_start);
+        let items = items?;
+        for item in items.iter().flatten() {
+            let bytes = match item {
+                GetManyItem::Whole(_, _, data) => data.len(),
+                GetManyItem::Partial(p) => p.chunks.iter().map(|c| c.stored.len()).sum(),
+            };
+            self.state.stats.remote_opens.inc();
+            self.state.stats.remote_bytes.add(bytes as u64);
         }
-        Ok(plain)
+        Ok(items)
     }
 
-    /// Remote fetch with replica failover. Without a [`FailoverConfig`]
-    /// this is a single rpc to the owner (the pre-recovery behaviour);
-    /// with one, failed attempts walk the owner's ring replicas under
-    /// backoff, counting every recovery action in the node stats. Two
-    /// budgets bound the walk: `cfg.retry_budget` caps total retries per
-    /// op, and `deadline_us` (when nonzero) stops the walk — and clamps
-    /// each attempt's timeout — once the operation's deadline passes, so
-    /// a degraded batch cannot spend a fresh full timeout per entry.
-    fn fetch_remote(
+    /// The one failover ladder every remote read runs under. Without a
+    /// [`FailoverConfig`] this is a single attempt against the owner (the
+    /// pre-recovery behaviour); with one, failed attempts walk the
+    /// owner's ring replicas under backoff, counting timeouts and CRC
+    /// failures in the node stats, and a read that needed recovery is
+    /// marked degraded. [`FsError::BadRange`] is terminal: every replica
+    /// would say the same. Two budgets bound the walk: `cfg.retry_budget`
+    /// caps total retries per op, and `deadline_us` (when nonzero) stops
+    /// the walk — and clamps each attempt's timeout — once the
+    /// operation's deadline passes, so a degraded batch cannot spend a
+    /// fresh full timeout per entry.
+    fn failover_ladder<T>(
         &self,
         path: &str,
         owner: usize,
-        request: u64,
         deadline_us: u64,
-    ) -> Result<Vec<u8>, FsError> {
+        mut attempt: impl FnMut(usize, Option<Duration>) -> Result<T, FsError>,
+    ) -> Result<T, FsError> {
         if deadline_us != 0 && now_us() >= deadline_us {
             // Expired before the first send: the daemon would shed it
             // anyway; skip the round trip (read-through still applies).
             return Err(FsError::Shed(format!("{path}: deadline exhausted before send")));
         }
         let Some(cfg) = &self.failover else {
-            return self.try_get(path, owner, None, request, deadline_us);
+            return attempt(owner, None);
         };
-        let replicas: Vec<usize> = replicas_of(owner, self.state.size, cfg.replica_rounds)
+        let replicas = replicas_of(owner, self.state.size, cfg.replica_rounds)
             .into_iter()
-            .filter(|&r| r != self.state.rank)
-            .collect();
-        let mut attempt = 0u32;
+            .filter(|&r| r != self.state.rank);
+        let mut tries = 0u32;
         let mut last = FsError::Degraded(format!("{path}: no reachable replica"));
-        for &replica in &replicas {
+        for replica in replicas {
             for _ in 0..cfg.attempts_per_replica.max(1) {
-                if attempt > 0 {
-                    if cfg.retry_budget > 0 && attempt > cfg.retry_budget {
+                if tries > 0 {
+                    if cfg.retry_budget > 0 && tries > cfg.retry_budget {
                         self.state.stats.retry_exhausted.inc();
                         return Err(last);
                     }
-                    std::thread::sleep(backoff_delay(cfg, path, attempt));
+                    std::thread::sleep(backoff_delay(cfg, path, tries));
                     self.metrics.rpc_retries.inc();
                 }
-                attempt += 1;
+                tries += 1;
                 // Charge the attempt against the op deadline: never wait
                 // past it, and stop retrying once it has passed.
                 let mut timeout = cfg.rpc_timeout;
@@ -723,24 +705,21 @@ impl FsClient {
                     }
                     timeout = timeout.min(Duration::from_micros(rem));
                 }
-                match self.try_get(path, replica, Some(timeout), request, deadline_us) {
-                    Ok(plain) => {
-                        if attempt > 1 {
+                match attempt(replica, Some(timeout)) {
+                    Ok(out) => {
+                        if tries > 1 {
                             // The read needed recovery: a retry or a
                             // replica other than the primary served it.
                             self.state.stats.degraded_reads.inc();
                             self.record(Op::Degraded, path, 0);
                         }
-                        return Ok(plain);
+                        return Ok(out);
                     }
+                    Err(e @ FsError::BadRange(_)) => return Err(e),
                     Err(e) => {
                         match &e {
-                            FsError::Timeout(_) => {
-                                self.state.stats.rpc_timeouts.inc();
-                            }
-                            FsError::Corrupt(_) => {
-                                self.state.stats.crc_failures.inc();
-                            }
+                            FsError::Timeout(_) => self.state.stats.rpc_timeouts.inc(),
+                            FsError::Corrupt(_) => self.state.stats.crc_failures.inc(),
                             // NotFound/Comm from a replica is anomalous
                             // (metadata says the file exists): retryable.
                             _ => {}
@@ -753,6 +732,113 @@ impl FsClient {
         Err(last)
     }
 
+    /// Read one entry remotely: the GET_MANY attempt for `spec` under the
+    /// failover ladder, decoded by [`FsClient::decode_item`]. When the
+    /// ladder fails (for any reason but a bad range) the last resort is
+    /// read-through to the backing store — the paper's shared file
+    /// system, which always holds every partition.
+    fn read_remote(
+        &self,
+        spec: &GetManySpec,
+        request: u64,
+        deadline_us: u64,
+    ) -> Result<Vec<u8>, FsError> {
+        let path = spec.path;
+        // No metadata entry means the path genuinely does not exist.
+        let owner = self.state.owner_of(path).ok_or_else(|| FsError::NotFound(path.to_string()))?;
+        let remote_err = if owner == self.state.rank || owner >= self.state.size {
+            // Metadata says the bytes should be here (or nowhere valid)
+            // but the local backend came up empty.
+            FsError::NotFound(path.to_string())
+        } else {
+            let served = self.failover_ladder(path, owner, deadline_us, |replica, timeout| {
+                let specs = std::slice::from_ref(spec);
+                let items = self.get_many_rpc(replica, specs, timeout, request, deadline_us)?;
+                self.decode_item(spec, items.into_iter().next().expect("one entry")?, request)
+            });
+            self.sync_fabric_gauges();
+            match served {
+                Ok(out) => return Ok(out),
+                Err(e @ FsError::BadRange(_)) => return Err(e),
+                Err(e) => e,
+            }
+        };
+        let Some(obj) = self.read_through.as_ref().and_then(|b| b.get(path)) else {
+            return Err(remote_err);
+        };
+        let out = self.decode_whole(spec, obj.codec, obj.stat.size, &obj.data, request)?;
+        self.state.stats.read_through_reads.inc();
+        self.state.stats.degraded_reads.inc();
+        self.record(Op::Degraded, path, 0);
+        Ok(out)
+    }
+
+    /// Decode one served entry for `spec`. A whole or tier read gets the
+    /// file (or its fidelity-bounded approximation), uncached; a range
+    /// read gets its window, with fetched range chunks landing in the
+    /// cache as partial residency. An at-rest CRC or decode failure is
+    /// [`FsError::Corrupt`], so the ladder moves to the next replica.
+    fn decode_item(
+        &self,
+        spec: &GetManySpec,
+        item: GetManyItem,
+        request: u64,
+    ) -> Result<Vec<u8>, FsError> {
+        let p = match item {
+            GetManyItem::Whole(codec, stat, data) => {
+                return self.decode_whole(spec, codec, stat.size, &data, request)
+            }
+            GetManyItem::Partial(p) => p,
+        };
+        if p.chunk_size == 0 {
+            // Progressive tiers: any prefix decodes to an approximation,
+            // the full set to the exact file.
+            let tiers: Vec<Vec<u8>> =
+                p.chunks.iter().map(|c| c.decode(p.inner_codec)).collect::<Result<_, _>>()?;
+            let refs: Vec<&[u8]> = tiers.iter().map(Vec::as_slice).collect();
+            let approx =
+                fanstore_compress::progressive::decode_prefix(&refs, p.raw_len as usize)
+                    .map_err(|e| FsError::Corrupt(format!("{}: tier decode: {e}", spec.path)))?;
+            return match spec.range {
+                Some((start, end)) => slice_range(&approx, start, end, spec.path),
+                None => Ok(approx),
+            };
+        }
+        let mut chunks = Vec::with_capacity(p.chunks.len());
+        for c in &p.chunks {
+            let raw = Arc::new(c.decode(p.inner_codec)?);
+            self.state.cache.insert_chunk(spec.path, p.chunk_size, p.raw_len, c.index, raw.clone());
+            chunks.push(RangeChunk { index: c.index, offset: c.offset, data: raw });
+        }
+        let pieces = RangePieces { chunk_size: p.chunk_size, total_len: p.raw_len, chunks };
+        let (start, end) = spec.range.unwrap_or((0, p.raw_len));
+        self.assemble_span(&pieces, start, end, request)
+    }
+
+    /// Decompress a whole object for `spec` (a served whole-file entry or
+    /// a read-through copy) under a `client.decompress` span. A range
+    /// read caches the whole file and slices its window; other reads get
+    /// the plain file back uncached.
+    fn decode_whole(
+        &self,
+        spec: &GetManySpec,
+        codec: CodecId,
+        size: u64,
+        data: &[u8],
+        request: u64,
+    ) -> Result<Vec<u8>, FsError> {
+        let dec_start = if self.timed { now_us() } else { 0 };
+        let plain = self.state.decompress_timed(codec, data, size as usize, spec.path)?;
+        if self.timed {
+            self.span(request, "client.decompress", dec_start);
+        }
+        let Some((start, end)) = spec.range else { return Ok(plain) };
+        let shared = self.state.cache.insert(spec.path, Arc::new(plain));
+        let out = slice_range(&shared, start, end, spec.path);
+        self.state.cache.close(spec.path);
+        out
+    }
+
     /// Batched fetch (the `GetMany` data path): resolve every path in
     /// `paths`, coalescing remote entries into one GET_MANY RPC per
     /// destination rank (chunked at [`MAX_BATCH`]). Cache and write-store
@@ -763,35 +849,34 @@ impl FsClient {
     /// One request id covers the whole batch: the `client.get_many` span
     /// is its root, each per-rank RPC records a `fabric.rpc` child, and
     /// every deferred decompression later records a `client.decompress`
-    /// child — so a trace dump joins the batch back together.
+    /// child — so a trace dump joins the batch back together. Admission
+    /// takes one token per batch; a refused batch fails whole, every
+    /// entry carrying the Throttled error.
     ///
     /// Per-entry failure isolation: a missing, corrupted or unreachable
     /// entry does not fail the batch. Each unresolved entry falls back to
-    /// the single-GET path — replica failover, backoff and read-through
-    /// included — exactly as [`FsClient::read_whole`] would.
+    /// the single-entry read path — replica failover, backoff and
+    /// read-through included — exactly as [`FsClient::read_whole`] would.
     pub fn fetch_many_raw(&self, paths: &[String]) -> Vec<Result<RawEntry, FsError>> {
+        let Some(first) = paths.first() else { return Vec::new() };
+        let latency = Some(&*self.metrics.get_many_latency);
+        self.read_op(first, "client.get_many", latency, |request, deadline_us| {
+            Ok(self.fetch_many_inner(paths, request, deadline_us))
+        })
+        .unwrap_or_else(|e| paths.iter().map(|_| Err(e.clone())).collect())
+    }
+
+    /// [`FsClient::fetch_many_raw`] after admission. One deadline covers
+    /// the whole batch: the GET_MANY rpcs and every per-entry fallback
+    /// fetch are charged against it, so a degraded batch is bounded by
+    /// one budget instead of one per entry.
+    fn fetch_many_inner(
+        &self,
+        paths: &[String],
+        request: u64,
+        deadline_us: u64,
+    ) -> Vec<Result<RawEntry, FsError>> {
         let n = paths.len();
-        if n == 0 {
-            return Vec::new();
-        }
-        let timed = self.timed;
-        let request = if timed { self.state.next_request_id() } else { 0 };
-        let start = if timed { now_us() } else { 0 };
-        // Admission: one token per batch, timed under the batch request
-        // id (a `client.admit` child span when QoS is attached). A
-        // refused batch fails whole — every entry carries the Throttled
-        // error, and no get_many latency or root span is recorded.
-        let admitted = self.admit(&paths[0]);
-        if timed && self.qos.is_some() {
-            self.span(request, "client.admit", start);
-        }
-        if let Err(e) = admitted {
-            return paths.iter().map(|_| Err(e.clone())).collect();
-        }
-        // One deadline covers the whole batch: the GET_MANY rpcs and every
-        // per-entry fallback fetch are charged against it, so a degraded
-        // batch is bounded by one budget instead of one per entry.
-        let deadline_us = self.op_deadline_us();
         let mut out: Vec<Option<Result<RawEntry, FsError>>> = Vec::with_capacity(n);
         out.resize_with(n, || None);
         // Local pass: cache / write-store hits resolve immediately; local
@@ -832,63 +917,54 @@ impl FsClient {
         }
         // Remote pass: one GET_MANY per destination rank. Entry errors
         // (per-entry CRC failure, NOT_FOUND) and batch-level errors (rpc
-        // timeout, damaged outer frame) both leave slots unresolved for
-        // the fallback pass.
+        // timeout, SHED, damaged outer frame) both leave slots unresolved
+        // for the fallback pass.
         let timeout = self.failover.as_ref().map(|c| c.rpc_timeout);
         for (&rank, idxs) in &by_rank {
             for chunk in idxs.chunks(MAX_BATCH) {
-                let chunk_paths: Vec<&str> = chunk.iter().map(|&i| paths[i].as_str()).collect();
-                let payload = encode_get_many_request(&chunk_paths);
-                let rpc_start = if timed { now_us() } else { 0 };
-                let meta = self.rpc_meta(request, deadline_us);
-                let reply =
-                    self.service.rpc_with_meta(rank, tags::GET_MANY, payload, timeout, meta);
-                if timed {
-                    self.metrics
-                        .rpc_latency
-                        .record_with_exemplar(now_us().saturating_sub(rpc_start), request);
-                    self.span(request, "fabric.rpc", rpc_start);
-                }
-                match reply {
-                    Ok(reply) => {
-                        match decode_get_many_reply(&reply, chunk.len()) {
-                            Ok(entries) => {
-                                for (&slot, entry) in chunk.iter().zip(entries) {
-                                    match entry {
-                                        Ok((codec, stat, bytes)) => {
-                                            self.state.stats.remote_opens.inc();
-                                            self.state.stats.remote_bytes.add(bytes.len() as u64);
-                                            out[slot] = Some(Ok(RawEntry::Packed {
-                                                codec,
-                                                size: stat.size as usize,
-                                                bytes: Arc::new(bytes),
-                                                request,
-                                            }));
-                                        }
-                                        Err(FsError::Corrupt(_)) => {
-                                            self.state.stats.crc_failures.inc();
-                                        }
-                                        Err(_) => {}
-                                    }
-                                }
-                            }
-                            Err(FsError::Shed(_)) => {
-                                // The daemon shed the whole batch rpc; all
-                                // its slots go to the fallback pass.
-                                self.state.stats.shed_replies.inc();
-                            }
-                            Err(_) => {}
+                let specs: Vec<GetManySpec> =
+                    chunk.iter().map(|&i| GetManySpec::whole(&paths[i])).collect();
+                let items = match self.get_many_rpc(rank, &specs, timeout, request, deadline_us) {
+                    Ok(items) => items,
+                    Err(e) => {
+                        if let FsError::Timeout(_) = e {
+                            self.state.stats.rpc_timeouts.inc();
                         }
+                        continue;
                     }
-                    Err(CommError::Timeout | CommError::Disconnected) => {
-                        self.state.stats.rpc_timeouts.inc();
+                };
+                for ((&slot, spec), item) in chunk.iter().zip(&specs).zip(items) {
+                    match item {
+                        // Chunked containers carry at-rest chunk CRCs:
+                        // decode now, so a damaged copy falls back to the
+                        // replica ladder as a single read would.
+                        Ok(GetManyItem::Whole(codec, stat, bytes)) if codec == CHUNKED => {
+                            match self.decode_whole(spec, codec, stat.size, &bytes, request) {
+                                Ok(plain) => {
+                                    let data = self.state.cache.insert(spec.path, Arc::new(plain));
+                                    out[slot] = Some(Ok(RawEntry::Ready(data)));
+                                }
+                                Err(_) => self.state.stats.crc_failures.inc(),
+                            }
+                        }
+                        Ok(GetManyItem::Whole(codec, stat, bytes)) => {
+                            out[slot] = Some(Ok(RawEntry::Packed {
+                                codec,
+                                size: stat.size as usize,
+                                bytes: Arc::new(bytes),
+                                request,
+                            }));
+                        }
+                        Err(FsError::Corrupt(_)) => self.state.stats.crc_failures.inc(),
+                        // NOT_FOUND, or a PARTIAL frame a whole-file spec
+                        // never asks for: the fallback pass decides.
+                        _ => {}
                     }
-                    Err(_) => {}
                 }
             }
         }
         // Fallback pass: per-entry replica failover through the
-        // single-GET machinery, under the same batch request id and —
+        // single-entry machinery, under the same batch request id and —
         // crucially — the same batch deadline (a fresh full timeout per
         // degraded entry would let a MAX_BATCH batch take 128× budget).
         for (i, slot) in out.iter_mut().enumerate() {
@@ -897,14 +973,6 @@ impl FsClient {
                 *slot =
                     Some(self.fetch_inner(&paths[i], request, deadline_us).map(RawEntry::Ready));
             }
-        }
-        if timed {
-            let elapsed = now_us().saturating_sub(start);
-            self.metrics.get_many_latency.record_with_exemplar(elapsed, request);
-            if let Some(q) = &self.qos {
-                q.observe_latency(elapsed, request);
-            }
-            self.span(request, "client.get_many", start);
         }
         self.metrics.get_many_batches.inc();
         self.metrics.get_many_entries.add(n as u64);
@@ -1225,25 +1293,21 @@ impl FsClient {
     }
 
     /// Read bytes `[start, end)` of `path` without materialising the
-    /// whole file. For range-chunked objects only the covering chunks
-    /// move: cache-resident chunks are served in place, locally-owned
-    /// chunks decode from the partition, and remote chunks travel in one
-    /// v2 GET_MANY entry (replica failover and read-through included).
-    /// Fetched chunks land in the cache as partial residency, so
-    /// overlapping ranges hit without refetching. Objects packed whole
-    /// fall back to a full fetch plus slice — correct, just not cheaper.
+    /// whole file: one `client.range` request. For range-chunked objects
+    /// only the covering chunks move: cache-resident chunks are served in
+    /// place, locally-owned chunks decode from the partition, and remote
+    /// chunks travel in one GET_MANY entry (replica failover and
+    /// read-through included). Fetched chunks land in the cache as
+    /// partial residency, so overlapping ranges hit without refetching.
+    /// Objects packed whole fall back to a full fetch plus slice —
+    /// correct, just not cheaper.
     ///
     /// `[start, end)` must be non-empty and lie inside the file;
     /// anything else is [`FsError::BadRange`] (EINVAL), never a panic.
     pub fn read_range(&self, path: &str, start: u64, end: u64) -> Result<Vec<u8>, FsError> {
-        if !self.timed {
-            return self.read_range_inner(path, start, end, 0);
-        }
-        let request = self.state.next_request_id();
-        let t0 = now_us();
-        let out = self.read_range_inner(path, start, end, request);
-        self.span(request, "client.range", t0);
-        out
+        self.read_op(path, "client.range", None, |request, deadline| {
+            self.read_range_inner(path, start, end, request, deadline)
+        })
     }
 
     fn read_range_inner(
@@ -1252,6 +1316,7 @@ impl FsClient {
         start: u64,
         end: u64,
         request: u64,
+        deadline_us: u64,
     ) -> Result<Vec<u8>, FsError> {
         let stat = self.stat(path)?;
         if start >= end || end > stat.size {
@@ -1277,39 +1342,26 @@ impl FsClient {
             }
             return self.assemble_span(&pieces, start, end, request);
         }
-        // 3. Remote owner. Non-chunked objects (local or remote) fall
-        // through to a whole-file fetch and slice below.
-        let owner = self.state.owner_of(path).ok_or_else(|| FsError::NotFound(path.to_string()))?;
-        if owner != self.state.rank
-            && owner < self.state.size
-            && self.state.local_packed(path).is_none()
-        {
-            let deadline = self.op_deadline_us();
-            match self.range_remote(path, start, end, owner, request, deadline) {
-                Ok(bytes) => {
-                    self.sync_fabric_gauges();
-                    return Ok(bytes);
-                }
-                // The daemon judged the range invalid — replicas would
-                // say the same, and read-through can't fix EINVAL.
-                Err(e @ FsError::BadRange(_)) => return Err(e),
-                Err(_) => self.sync_fabric_gauges(),
-            }
-            // Every replica failed: degrade to the whole-file path, which
-            // carries its own read-through fallback.
+        // 3. Remote owner: the daemon sends only the covering chunks of
+        // a chunked object (the whole object otherwise).
+        let remote =
+            self.state.owner_of(path).is_some_and(|o| o != self.state.rank && o < self.state.size);
+        if remote && self.state.local_packed(path).is_none() {
+            return self.read_remote(&GetManySpec::range(path, start, end), request, deadline_us);
         }
-        // 4. Whole-file fallback: fetch (cache-populating), slice.
-        let data = self.fetch(path)?;
-        let out = slice_range(&data, start, end, path)?;
+        // 4. Local whole objects and output files: fetch
+        // (cache-populating), slice.
+        let data = self.fetch_inner(path, request, deadline_us)?;
+        let out = slice_range(&data, start, end, path);
         self.state.cache.close(path);
-        Ok(out)
+        out
     }
 
     /// Assemble `[start, end)` from decoded range pieces under a
     /// `client.assemble` span.
     fn assemble_span(
         &self,
-        pieces: &crate::node::RangePieces,
+        pieces: &RangePieces,
         start: u64,
         end: u64,
         request: u64,
@@ -1322,202 +1374,23 @@ impl FsClient {
         out
     }
 
-    /// One ranged GET_MANY attempt against `replica`: rpc, outer-CRC
-    /// decode, per-chunk at-rest CRC + decompress. A chunk whose at-rest
-    /// CRC fails poisons only this attempt — the caller walks the replica
-    /// ring, where an undamaged copy may survive.
-    #[allow(clippy::too_many_arguments)]
-    fn try_range(
-        &self,
-        path: &str,
-        start: u64,
-        end: u64,
-        replica: usize,
-        timeout: Option<Duration>,
-        request: u64,
-        deadline_us: u64,
-    ) -> Result<Vec<u8>, FsError> {
-        let specs = [GetManySpec::range(path, start, end)];
-        let payload = encode_get_many_request_v2(&specs);
-        let rpc_start = if self.timed { now_us() } else { 0 };
-        let meta = self.rpc_meta(request, deadline_us);
-        let reply = self
-            .service
-            .rpc_with_meta(replica, tags::GET_MANY, payload, timeout, meta)
-            .map_err(|e| match e {
-                CommError::Timeout | CommError::Disconnected => {
-                    FsError::Timeout(format!("GET_MANY(range) {path} from rank {replica}"))
-                }
-                other => FsError::Comm(other.to_string()),
-            });
-        if self.timed {
-            self.metrics
-                .rpc_latency
-                .record_with_exemplar(now_us().saturating_sub(rpc_start), request);
-            self.span(request, "fabric.rpc", rpc_start);
-        }
-        let reply = reply?;
-        let decoded = decode_get_many_reply_v2(&reply, 1);
-        if let Err(FsError::Shed(_)) = &decoded {
-            self.state.stats.shed_replies.inc();
-        }
-        let item = decoded?.into_iter().next().expect("one entry")?;
-        self.state.stats.remote_opens.inc();
-        match item {
-            GetManyItem::Partial(p) => {
-                let mut chunks = Vec::with_capacity(p.chunks.len());
-                for c in &p.chunks {
-                    self.state.stats.remote_bytes.add(c.stored.len() as u64);
-                    let raw = Arc::new(c.decode(p.inner_codec)?);
-                    self.state.cache.insert_chunk(
-                        path,
-                        p.chunk_size,
-                        p.raw_len,
-                        c.index,
-                        raw.clone(),
-                    );
-                    chunks.push(crate::node::RangeChunk {
-                        index: c.index,
-                        offset: c.offset,
-                        data: raw,
-                    });
-                }
-                let pieces = crate::node::RangePieces {
-                    chunk_size: p.chunk_size,
-                    total_len: p.raw_len,
-                    chunks,
-                };
-                self.assemble_span(&pieces, start, end, request)
-            }
-            GetManyItem::Whole(codec, stat, data) => {
-                // The serving node holds a whole-object copy: decode it
-                // all, cache it all, slice the window.
-                self.state.stats.remote_bytes.add(data.len() as u64);
-                let plain = self.state.decompress_timed(codec, &data, stat.size as usize, path)?;
-                let shared = self.state.cache.insert(path, Arc::new(plain));
-                let out = slice_range(&shared, start, end, path);
-                self.state.cache.close(path);
-                out
-            }
-        }
-    }
-
-    /// Remote ranged fetch with the same replica-failover shape as
-    /// [`FsClient::fetch_remote`]: walk the owner's ring replicas under
-    /// backoff, bounded by the retry budget and the op deadline.
-    fn range_remote(
-        &self,
-        path: &str,
-        start: u64,
-        end: u64,
-        owner: usize,
-        request: u64,
-        deadline_us: u64,
-    ) -> Result<Vec<u8>, FsError> {
-        if deadline_us != 0 && now_us() >= deadline_us {
-            return Err(FsError::Shed(format!("{path}: deadline exhausted before send")));
-        }
-        let Some(cfg) = &self.failover else {
-            return self.try_range(path, start, end, owner, None, request, deadline_us);
-        };
-        let replicas: Vec<usize> = replicas_of(owner, self.state.size, cfg.replica_rounds)
-            .into_iter()
-            .filter(|&r| r != self.state.rank)
-            .collect();
-        let mut attempt = 0u32;
-        let mut last = FsError::Degraded(format!("{path}: no reachable replica"));
-        for &replica in &replicas {
-            for _ in 0..cfg.attempts_per_replica.max(1) {
-                if attempt > 0 {
-                    if cfg.retry_budget > 0 && attempt > cfg.retry_budget {
-                        self.state.stats.retry_exhausted.inc();
-                        return Err(last);
-                    }
-                    std::thread::sleep(backoff_delay(cfg, path, attempt));
-                    self.metrics.rpc_retries.inc();
-                }
-                attempt += 1;
-                let mut timeout = cfg.rpc_timeout;
-                if deadline_us != 0 {
-                    let rem = deadline_us.saturating_sub(now_us());
-                    if rem == 0 {
-                        return Err(FsError::Shed(format!("{path}: deadline exhausted")));
-                    }
-                    timeout = timeout.min(Duration::from_micros(rem));
-                }
-                match self.try_range(path, start, end, replica, Some(timeout), request, deadline_us)
-                {
-                    Ok(bytes) => {
-                        if attempt > 1 {
-                            self.state.stats.degraded_reads.inc();
-                            self.record(Op::Degraded, path, 0);
-                        }
-                        return Ok(bytes);
-                    }
-                    Err(e @ FsError::BadRange(_)) => return Err(e),
-                    Err(e) => {
-                        match &e {
-                            FsError::Timeout(_) => {
-                                self.state.stats.rpc_timeouts.inc();
-                            }
-                            FsError::Corrupt(_) => {
-                                self.state.stats.crc_failures.inc();
-                            }
-                            _ => {}
-                        }
-                        last = e;
-                    }
-                }
-            }
-        }
-        Err(last)
-    }
-
-    /// Read a *fidelity-bounded* approximation of `path`: for progressive
-    /// objects, only tiers `0..=min_tier` are decoded (locally or fetched
-    /// remotely), trading accuracy for bytes moved. Objects not packed
-    /// progressively come back at full fidelity. The result is NEVER
-    /// cached — the cache holds exact bytes only, so a later full-fidelity
-    /// read of the same path cannot observe the approximation.
+    /// Read a *fidelity-bounded* approximation of `path`: one
+    /// `client.tier` request. For progressive objects, only tiers
+    /// `0..=min_tier` are decoded (locally or fetched remotely, replica
+    /// failover and read-through included), trading accuracy for bytes
+    /// moved. Objects not packed progressively come back at full
+    /// fidelity. The result is NEVER cached — the cache holds exact bytes
+    /// only, so a later full-fidelity read of the same path cannot
+    /// observe the approximation.
     pub fn read_whole_tier(&self, path: &str, min_tier: u8) -> Result<Vec<u8>, FsError> {
-        self.record(Op::Read, path, 0);
-        // Local progressive object: decode the tier prefix in place.
-        if let Some(approx) = self.state.read_local_tiered(path, min_tier)? {
-            return Ok(approx);
-        }
-        if self.state.local_packed(path).is_some() {
-            // Local but not progressive: full fidelity is the only tier.
-            return self.read_whole(path);
-        }
-        let owner = self.state.owner_of(path).ok_or_else(|| FsError::NotFound(path.to_string()))?;
-        if owner == self.state.rank || owner >= self.state.size {
-            return Err(FsError::NotFound(path.to_string()));
-        }
-        let specs = [GetManySpec::tiered(path, min_tier)];
-        let payload = encode_get_many_request_v2(&specs);
-        let timeout = self.failover.as_ref().map(|cfg| cfg.rpc_timeout);
-        let reply = self
-            .service
-            .rpc_with_meta(owner, tags::GET_MANY, payload, timeout, RpcMeta::default())
-            .map_err(|e| self.rpc_error(&format!("GET_MANY(tier) {path}"), e))?;
-        let item = decode_get_many_reply_v2(&reply, 1)?.into_iter().next().expect("one entry")?;
-        self.state.stats.remote_opens.inc();
-        match item {
-            GetManyItem::Partial(p) => {
-                let mut tiers = Vec::with_capacity(p.chunks.len());
-                for c in &p.chunks {
-                    self.state.stats.remote_bytes.add(c.stored.len() as u64);
-                    tiers.push(c.decode(p.inner_codec)?);
-                }
-                let refs: Vec<&[u8]> = tiers.iter().map(Vec::as_slice).collect();
-                fanstore_compress::progressive::decode_prefix(&refs, p.raw_len as usize)
-                    .map_err(|e| FsError::Corrupt(format!("{path}: tier decode: {e}")))
+        self.read_op(path, "client.tier", None, |request, deadline| {
+            self.record(Op::Read, path, 0);
+            // Local object: decode the tier prefix in place.
+            if let Some(approx) = self.state.read_local_tiered(path, min_tier)? {
+                return Ok(approx);
             }
-            GetManyItem::Whole(codec, stat, data) => {
-                self.state.stats.remote_bytes.add(data.len() as u64);
-                self.state.decompress_timed(codec, &data, stat.size as usize, path)
-            }
-        }
+            self.read_remote(&GetManySpec::tiered(path, min_tier), request, deadline)
+        })
     }
 
     /// Translate an rpc error for `what` into the matching [`FsError`]:
@@ -1533,9 +1406,11 @@ impl FsClient {
     }
 
     /// Push a whole object into `rank`'s write store (checkpoint
-    /// replication): the peer can then serve GETs for `path` and keeps a
+    /// replication): the peer can then serve reads of `path` and keeps a
     /// durable copy across this rank's crash. Runs under the failover
-    /// deadline when one is attached.
+    /// deadline when one is attached. An unreachable peer or a failed
+    /// commit there is retryable (`Timeout` / `Comm`); a refused request
+    /// is terminal (`ReadOnly`).
     pub fn put_remote(&self, rank: usize, path: &str, data: &[u8]) -> Result<(), FsError> {
         let payload = crate::daemon::encode_put(path, self.state.rank as u32, data);
         let timeout = self.failover.as_ref().map(|cfg| cfg.rpc_timeout);
@@ -1550,11 +1425,11 @@ impl FsClient {
         if self.timed {
             self.span(request, "fabric.rpc", start);
         }
-        let out =
-            match reply.map_err(|e| self.rpc_error(&format!("PUT {path} to rank {rank}"), e))? {
-                r if r.first() == Some(&crate::daemon::status::OK) => Ok(()),
-                _ => Err(FsError::Comm(format!("PUT {path} rejected by rank {rank}"))),
-            };
+        let what = format!("PUT {path} to rank {rank}");
+        let out = match reply.map_err(|e| self.rpc_error(&what, e))?.first() {
+            Some(&status::OK) => Ok(()),
+            code => Err(write_rejected(code, &what)),
+        };
         if self.timed {
             self.span(request, "client.put", start);
         }
@@ -1572,22 +1447,18 @@ impl FsClient {
 
     /// Ask `rank` to unlink an output file it holds (GC of replicated
     /// checkpoint generations). A missing path reports success: the goal
-    /// state — "not there" — already holds.
+    /// state — "not there" — already holds. Errors classify as for
+    /// [`FsClient::put_remote`]; unlinking an input file is refused.
     pub fn unlink_remote(&self, rank: usize, path: &str) -> Result<(), FsError> {
         let payload = path.as_bytes().to_vec();
         let reply = match &self.failover {
             Some(cfg) => self.service.rpc_timeout(rank, tags::UNLINK, payload, cfg.rpc_timeout),
             None => self.service.rpc(rank, tags::UNLINK, payload),
         };
-        match reply.map_err(|e| self.rpc_error(&format!("UNLINK {path} at rank {rank}"), e))? {
-            r if matches!(
-                r.first(),
-                Some(&crate::daemon::status::OK | &crate::daemon::status::NOT_FOUND)
-            ) =>
-            {
-                Ok(())
-            }
-            _ => Err(FsError::Comm(format!("UNLINK {path} rejected by rank {rank}"))),
+        let what = format!("UNLINK {path} at rank {rank}");
+        match reply.map_err(|e| self.rpc_error(&what, e))?.first() {
+            Some(&status::OK | &status::NOT_FOUND) => Ok(()),
+            code => Err(write_rejected(code, &what)),
         }
     }
 
@@ -1611,6 +1482,18 @@ impl FsClient {
         }
         files.sort();
         Ok(files)
+    }
+}
+
+/// The error for a write the peer did not acknowledge: `BAD_REQUEST` means
+/// the request itself was refused (an undecodable payload, or an input
+/// file, which is immutable) — terminal [`FsError::ReadOnly`]; anything
+/// else (`ERROR`: the node failed to commit) is a node fault — retryable
+/// [`FsError::Comm`].
+fn write_rejected(code: Option<&u8>, what: &str) -> FsError {
+    match code {
+        Some(&status::BAD_REQUEST) => FsError::ReadOnly(format!("{what}: refused")),
+        _ => FsError::Comm(format!("{what}: not committed")),
     }
 }
 

@@ -1,17 +1,22 @@
 //! The FanStore daemon: one service loop per node (paper §V-A, §V-D).
 //!
 //! The daemon owns the node's receiving endpoint on the service channel
-//! and answers three request kinds:
+//! and answers these request kinds:
 //!
-//! * **GET** — remote file retrieval: returns the *compressed* bytes plus
-//!   codec and stat; decompression happens on the requesting node (so the
-//!   interconnect carries compressed data, §IV-C2).
-//! * **GET_MANY** — batched retrieval: up to [`MAX_BATCH`] paths answered
-//!   in one reply, each entry framed with its own status byte and CRC32
-//!   so a missing or corrupted entry fails alone (see DESIGN.md, "Batched
-//!   read protocol").
+//! * **GET_MANY** — the one read request: up to [`MAX_BATCH`] entries,
+//!   each a [`GetManySpec`] (path, optional byte range, fidelity bound),
+//!   answered in one reply. Entries carry the *compressed* bytes plus
+//!   codec and stat — decompression happens on the requesting node, so
+//!   the interconnect carries compressed data (§IV-C2) — each framed
+//!   with its own status byte and CRC32 so a missing or corrupted entry
+//!   fails alone. A single-file read is a 1-entry batch (see DESIGN.md,
+//!   "Batched read protocol").
+//! * **GET_META** — metadata lookup: the stat fallback for paths not yet
+//!   in the requester's local view.
 //! * **PUT_META** — write-metadata insertion: a peer closed an output file
 //!   and forwards its metadata to this rank (§V-D).
+//! * **PUT** / **UNLINK** — push an object onto, or remove an output file
+//!   from, this node's write store (checkpoint replication and GC).
 //! * **SHUTDOWN** — terminate the loop.
 
 use std::collections::{BTreeMap, VecDeque};
@@ -32,8 +37,6 @@ use crate::FsError;
 pub mod tags {
     /// Terminate the daemon loop.
     pub const SHUTDOWN: u64 = 0;
-    /// Fetch a file's compressed bytes.
-    pub const GET: u64 = 1;
     /// Insert forwarded write metadata.
     pub const PUT_META: u64 = 2;
     /// Fetch a file's metadata (stat fallback for paths not yet in the
@@ -61,7 +64,8 @@ pub mod status {
     pub const OK: u8 = 0;
     /// Path unknown on this node.
     pub const NOT_FOUND: u8 = 1;
-    /// Request malformed.
+    /// Request malformed (or, for a write, refused: input files are
+    /// immutable). Terminal — retrying cannot help.
     pub const BAD_REQUEST: u8 = 2;
     /// Request shed by the daemon's QoS scheduler: its deadline had
     /// expired (or could not cover the estimated service time), or the
@@ -72,16 +76,16 @@ pub mod status {
     /// requested byte range (or the fidelity tiers up to `min_tier`) of
     /// a chunked object, each with its own stored-CRC.
     pub const PARTIAL: u8 = 4;
-    /// This node failed to serve the entry (e.g. its local copy's chunk
-    /// table or payload is corrupt). Unlike [`BAD_REQUEST`] this says
-    /// nothing about the request itself, so the client treats it as
-    /// retryable and walks the replica ring, where an intact copy may
-    /// survive.
+    /// This node failed to serve the request (e.g. its local copy's chunk
+    /// table or payload is corrupt, or a write's WAL commit failed).
+    /// Unlike [`BAD_REQUEST`] this says nothing about the request itself,
+    /// so the client treats it as retryable — a read walks the replica
+    /// ring, where an intact copy may survive.
     pub const ERROR: u8 = 5;
 }
 
-/// Byte offset of the body (codec + stat + compressed) in a GET reply:
-/// after the status byte and the CRC32 field.
+/// Byte offset of the body (codec + stat + compressed) in a GET_MANY
+/// entry frame: after the status byte and the CRC32 field.
 const GET_BODY: usize = 1 + 4;
 
 /// Encode a PUT request: `[u16 path len][path][u32 owner rank][data]`.
@@ -104,20 +108,14 @@ fn decode_put(buf: &[u8]) -> Option<(&str, u32, &[u8])> {
     Some((path, owner, &buf[2 + plen + 4..]))
 }
 
-/// Encode a GET reply: `[status][crc32 u32][codec u16][stat 144B]
-/// [compressed bytes]`. The CRC covers everything after the CRC field, so
-/// a requester can reject in-flight corruption before decompressing.
-fn encode_get_reply(obj: &LocalObject) -> Vec<u8> {
-    let mut out = Vec::with_capacity(GET_BODY + 2 + STAT_SIZE + obj.data.len());
-    encode_get_reply_into(&mut out, obj);
-    out
-}
-
-/// Append a single-GET reply frame to `out` (the GET_MANY fast path:
-/// entries are assembled straight into the outgoing reply buffer instead
-/// of through a per-entry `Vec`). The CRC placeholder is patched once the
-/// body is in place.
+/// Append a whole-file entry frame to `out`: `[status][crc32 u32]
+/// [codec u16][stat 144B][compressed bytes]`. Entries are assembled
+/// straight into the outgoing reply buffer instead of through a
+/// per-entry `Vec`; the CRC placeholder is patched once the body is in
+/// place. The CRC covers everything after the CRC field, so a requester
+/// can reject in-flight corruption before decompressing.
 fn encode_get_reply_into(out: &mut Vec<u8>, obj: &LocalObject) {
+    out.reserve(GET_BODY + 2 + STAT_SIZE + obj.data.len());
     let frame = out.len();
     out.push(status::OK);
     out.extend_from_slice(&[0u8; 4]); // CRC placeholder
@@ -128,10 +126,10 @@ fn encode_get_reply_into(out: &mut Vec<u8>, obj: &LocalObject) {
     out[frame + 1..frame + GET_BODY].copy_from_slice(&crc.to_le_bytes());
 }
 
-/// Decode a GET reply into `(codec, stat, compressed)`, verifying the
-/// CRC32. A mismatch decodes to [`FsError::Corrupt`], which the client's
-/// failover path treats as retryable on the next replica.
-pub fn decode_get_reply(
+/// Decode a whole-file entry frame into `(codec, stat, compressed)`,
+/// verifying the CRC32. A mismatch decodes to [`FsError::Corrupt`], which
+/// the client's failover path treats as retryable on the next replica.
+fn decode_get_reply(
     buf: &[u8],
 ) -> Result<(fanstore_compress::CodecId, FileStat, Vec<u8>), FsError> {
     match buf.first() {
@@ -140,16 +138,16 @@ pub fn decode_get_reply(
             return Err(FsError::NotFound("remote: not found".into()))
         }
         Some(&s) if s == status::SHED => return Err(FsError::Shed("remote: shed".into())),
-        _ => return Err(FsError::Comm("malformed GET reply".into())),
+        _ => return Err(FsError::Comm("malformed GET_MANY entry".into())),
     }
     if buf.len() < GET_BODY + 2 + STAT_SIZE {
-        return Err(FsError::Comm("short GET reply".into()));
+        return Err(FsError::Comm("short GET_MANY entry".into()));
     }
     let expect = u32::from_le_bytes(buf[1..GET_BODY].try_into().expect("4 bytes"));
     let actual = crc32(&buf[GET_BODY..]);
     if expect != actual {
         return Err(FsError::Corrupt(format!(
-            "GET reply CRC mismatch: stored {expect:08x}, computed {actual:08x}"
+            "GET_MANY entry CRC mismatch: stored {expect:08x}, computed {actual:08x}"
         )));
     }
     let codec = fanstore_compress::CodecId(u16::from_le_bytes(
@@ -159,9 +157,9 @@ pub fn decode_get_reply(
     Ok((codec, stat, buf[GET_BODY + 2 + STAT_SIZE..].to_vec()))
 }
 
-/// Count-field flag marking a version-2 GET_MANY request (per-entry
-/// range and fidelity fields follow each path). v1 decoders reject the
-/// oversized count; v1 requests decode unchanged under v2 daemons.
+/// Count-field flag of a GET_MANY request: per-entry range and fidelity
+/// fields follow each path. An unflagged request (the retired v1 form,
+/// paths only) is answered `BAD_REQUEST`.
 const GET_MANY_V2: u32 = 0x8000_0000;
 
 /// One entry of a GET_MANY request: the path, an optional byte range
@@ -178,7 +176,7 @@ pub struct GetManySpec<'a> {
 }
 
 impl<'a> GetManySpec<'a> {
-    /// A whole-file, full-fidelity entry (the v1 semantics).
+    /// A whole-file, full-fidelity entry.
     pub fn whole(path: &'a str) -> Self {
         GetManySpec { path, range: None, min_tier: crate::pack::TIER_FULL }
     }
@@ -192,19 +190,6 @@ impl<'a> GetManySpec<'a> {
     pub fn tiered(path: &'a str, min_tier: u8) -> Self {
         GetManySpec { path, range: None, min_tier }
     }
-}
-
-/// Encode a GET_MANY request: `[u32 count]` then, per path,
-/// `[u16 len][path bytes]`.
-pub fn encode_get_many_request(paths: &[&str]) -> Vec<u8> {
-    let total: usize = paths.iter().map(|p| 2 + p.len()).sum();
-    let mut out = Vec::with_capacity(4 + total);
-    out.extend_from_slice(&(paths.len() as u32).to_le_bytes());
-    for p in paths {
-        out.extend_from_slice(&(p.len() as u16).to_le_bytes());
-        out.extend_from_slice(p.as_bytes());
-    }
-    out
 }
 
 /// Encode a v2 GET_MANY request: `[u32 count | GET_MANY_V2]` then, per
@@ -235,13 +220,13 @@ pub fn encode_get_many_request_v2(specs: &[GetManySpec]) -> Vec<u8> {
     out
 }
 
-/// Decode a GET_MANY request (v1 or v2) into its entry list. `None` on
-/// any framing problem (short buffer, non-UTF-8 path, oversized count).
+/// Decode a GET_MANY request into its entry list. `None` on any framing
+/// problem (short buffer, unflagged count, non-UTF-8 path, oversized
+/// count).
 fn decode_get_many_request(buf: &[u8]) -> Option<Vec<GetManySpec<'_>>> {
     let raw = u32::from_le_bytes(buf.get(..4)?.try_into().ok()?);
-    let v2 = raw & GET_MANY_V2 != 0;
     let count = (raw & !GET_MANY_V2) as usize;
-    if count > MAX_BATCH {
+    if raw & GET_MANY_V2 == 0 || count > MAX_BATCH {
         return None;
     }
     let mut specs = Vec::with_capacity(count);
@@ -252,22 +237,20 @@ fn decode_get_many_request(buf: &[u8]) -> Option<Vec<GetManySpec<'_>>> {
         let path = std::str::from_utf8(buf.get(off..off + plen)?).ok()?;
         off += plen;
         let mut spec = GetManySpec::whole(path);
-        if v2 {
-            let flags = *buf.get(off)?;
+        let flags = *buf.get(off)?;
+        off += 1;
+        if flags & !3 != 0 {
+            return None;
+        }
+        if flags & 1 != 0 {
+            let start = u64::from_le_bytes(buf.get(off..off + 8)?.try_into().ok()?);
+            let end = u64::from_le_bytes(buf.get(off + 8..off + 16)?.try_into().ok()?);
+            off += 16;
+            spec.range = Some((start, end));
+        }
+        if flags & 2 != 0 {
+            spec.min_tier = *buf.get(off)?;
             off += 1;
-            if flags & !3 != 0 {
-                return None;
-            }
-            if flags & 1 != 0 {
-                let start = u64::from_le_bytes(buf.get(off..off + 8)?.try_into().ok()?);
-                let end = u64::from_le_bytes(buf.get(off + 8..off + 16)?.try_into().ok()?);
-                off += 16;
-                spec.range = Some((start, end));
-            }
-            if flags & 2 != 0 {
-                spec.min_tier = *buf.get(off)?;
-                off += 1;
-            }
         }
         specs.push(spec);
     }
@@ -276,53 +259,6 @@ fn decode_get_many_request(buf: &[u8]) -> Option<Vec<GetManySpec<'_>>> {
     } else {
         None // trailing garbage: reject rather than silently ignore
     }
-}
-
-/// One decoded GET_MANY entry: codec id, stat block and compressed
-/// payload, or that entry's own failure.
-pub type GetManyEntry = Result<(fanstore_compress::CodecId, FileStat, Vec<u8>), FsError>;
-
-/// Decode a GET_MANY reply. The outer frame is
-/// `[status][u32 count]` followed by `count` length-prefixed entries
-/// (`[u32 len][single-GET reply]`), in request order. Entries carry their
-/// *own* status byte and CRC32 — a byte flipped in flight fails only the
-/// entry it landed in, so the caller can fail over per entry instead of
-/// refetching the whole batch. Outer-frame damage (or a count mismatch)
-/// returns an error for the batch as a whole.
-pub fn decode_get_many_reply(buf: &[u8], expected: usize) -> Result<Vec<GetManyEntry>, FsError> {
-    match buf.first() {
-        Some(&s) if s == status::OK => {}
-        Some(&s) if s == status::SHED => return Err(FsError::Shed("remote: batch shed".into())),
-        _ => return Err(FsError::Comm("malformed GET_MANY reply".into())),
-    }
-    let count = u32::from_le_bytes(
-        buf.get(1..5)
-            .ok_or_else(|| FsError::Comm("short GET_MANY reply".into()))?
-            .try_into()
-            .expect("4 bytes"),
-    ) as usize;
-    if count != expected {
-        return Err(FsError::Comm(format!(
-            "GET_MANY entry count mismatch: asked {expected}, got {count}"
-        )));
-    }
-    let mut out = Vec::with_capacity(count);
-    let mut off = 5usize;
-    for _ in 0..count {
-        let len = u32::from_le_bytes(
-            buf.get(off..off + 4)
-                .ok_or_else(|| FsError::Comm("truncated GET_MANY frame".into()))?
-                .try_into()
-                .expect("4 bytes"),
-        ) as usize;
-        off += 4;
-        let entry = buf
-            .get(off..off + len)
-            .ok_or_else(|| FsError::Comm("truncated GET_MANY entry".into()))?;
-        off += len;
-        out.push(decode_get_reply(entry));
-    }
-    Ok(out)
 }
 
 /// One chunk of a PARTIAL entry: its table row plus the stored bytes.
@@ -382,7 +318,7 @@ pub struct PartialReply {
 /// One decoded v2 GET_MANY entry: a whole-file frame or a partial frame.
 #[derive(Debug, Clone)]
 pub enum GetManyItem {
-    /// The v1 whole-file entry: codec, stat, compressed payload.
+    /// A whole-file entry: codec, stat, compressed payload.
     Whole(fanstore_compress::CodecId, FileStat, Vec<u8>),
     /// A partial (chunked) entry.
     Partial(PartialReply),
@@ -445,6 +381,9 @@ fn encode_partial_entry(
     Ok(())
 }
 
+/// Fixed size of one chunk header in a PARTIAL frame.
+const PARTIAL_CHUNK_HEADER: usize = 4 + 1 + 8 + 4 + 4 + 4;
+
 /// Decode a PARTIAL entry frame (inverse of [`encode_partial_entry`]).
 fn decode_partial_entry(buf: &[u8]) -> Result<PartialReply, FsError> {
     if buf.len() < GET_BODY + 2 + STAT_SIZE + 4 + 8 + 4 {
@@ -469,10 +408,12 @@ fn decode_partial_entry(buf: &[u8]) -> Result<PartialReply, FsError> {
     off += 8;
     let count = u32::from_le_bytes(buf[off..off + 4].try_into().expect("4 bytes")) as usize;
     off += 4;
-    let mut chunks = Vec::with_capacity(count);
+    // The count is peer-supplied: reserve no more chunks than the
+    // remaining bytes could hold headers for.
+    let mut chunks = Vec::with_capacity(count.min((buf.len() - off) / PARTIAL_CHUNK_HEADER));
     for _ in 0..count {
         let head = buf
-            .get(off..off + 25)
+            .get(off..off + PARTIAL_CHUNK_HEADER)
             .ok_or_else(|| FsError::Comm("truncated PARTIAL chunk header".into()))?;
         let index = u32::from_le_bytes(head[..4].try_into().expect("4 bytes"));
         let tier = head[4];
@@ -480,7 +421,7 @@ fn decode_partial_entry(buf: &[u8]) -> Result<PartialReply, FsError> {
         let craw = u32::from_le_bytes(head[13..17].try_into().expect("4 bytes"));
         let stored_len = u32::from_le_bytes(head[17..21].try_into().expect("4 bytes")) as usize;
         let crc = u32::from_le_bytes(head[21..25].try_into().expect("4 bytes"));
-        off += 25;
+        off += PARTIAL_CHUNK_HEADER;
         let stored = buf
             .get(off..off + stored_len)
             .ok_or_else(|| FsError::Comm("truncated PARTIAL chunk payload".into()))?
@@ -497,9 +438,14 @@ fn decode_partial_entry(buf: &[u8]) -> Result<PartialReply, FsError> {
     Ok(PartialReply { inner_codec, stat, chunk_size, raw_len, chunks })
 }
 
-/// Decode a v2 GET_MANY reply: same outer framing as
-/// [`decode_get_many_reply`], but each entry may be a whole-file frame
-/// *or* a PARTIAL frame (first byte [`status::PARTIAL`]). A
+/// Decode a GET_MANY reply. The outer frame is `[status][u32 count]`
+/// followed by `count` length-prefixed entries (`[u32 len][entry]`), in
+/// request order. Entries carry their *own* status byte and CRC32 — a
+/// byte flipped in flight fails only the entry it landed in, so the
+/// caller can fail over per entry instead of refetching the whole batch;
+/// outer-frame damage (or a count mismatch) fails the batch as a whole.
+/// An entry is a whole-file frame *or* a PARTIAL frame (first byte
+/// [`status::PARTIAL`]). A
 /// [`status::BAD_REQUEST`] entry byte maps to [`FsError::BadRange`] — the
 /// daemon judged the requested range malformed for that file, so
 /// retrying a replica would not help. A [`status::ERROR`] entry byte maps
@@ -603,23 +549,6 @@ fn handle_get_many(state: &NodeState, msg: &Message, get_bytes: &crate::metrics:
         None => vec![status::BAD_REQUEST],
     };
     msg.reply(reply)
-}
-
-/// Run the daemon loop until a SHUTDOWN message arrives or every peer
-/// endpoint is gone. Returns the number of requests served.
-pub fn serve(state: Arc<NodeState>, service: Channel) -> u64 {
-    serve_traced(state, service, None)
-}
-
-/// [`serve`] with an optional trace recorder: undeliverable replies (the
-/// requester gave up — timed out or died) are counted in
-/// `stats.reply_failures` and recorded as [`Op::Degraded`] events.
-pub fn serve_traced(
-    state: Arc<NodeState>,
-    service: Channel,
-    trace: Option<Arc<TraceRecorder>>,
-) -> u64 {
-    serve_qos(state, service, trace, None)
 }
 
 /// One tenant's service lane in the daemon scheduler: its bounded queue,
@@ -745,14 +674,21 @@ impl<'a> Scheduler<'a> {
 /// estimate (the `daemon.serve.latency_us` median).
 const EST_REFRESH: u64 = 64;
 
-/// [`serve_traced`] under an optional [`QosPolicy`]: arriving requests
-/// queue per tenant (bounded; overflow is shed), the queues drain by
-/// deficit round-robin instead of strict FIFO, and any request whose
-/// deadline has expired — or whose remaining budget cannot cover the
-/// estimated service time (the serve-latency median) — is answered with
-/// [`status::SHED`] instead of being served. With `policy` `None` the
-/// behaviour is exactly the historical FIFO loop.
-pub fn serve_qos(
+/// Run the daemon loop until a SHUTDOWN message arrives or every peer
+/// endpoint is gone. Returns the number of requests served.
+///
+/// Under a [`QosPolicy`], arriving requests queue per tenant (bounded;
+/// overflow is shed), the queues drain by deficit round-robin instead of
+/// strict FIFO, and any request whose deadline has expired — or whose
+/// remaining budget cannot cover the estimated service time (the
+/// serve-latency median) — is answered with [`status::SHED`] instead of
+/// being served. With `policy` `None` the loop is strict FIFO.
+///
+/// With a trace recorder, requests leave `daemon.queue` / `daemon.serve`
+/// spans under the requester's id, and undeliverable replies (the
+/// requester gave up — timed out or died), always counted in
+/// `stats.reply_failures`, are also recorded as [`Op::Degraded`] events.
+pub fn serve(
     state: Arc<NodeState>,
     mut service: Channel,
     trace: Option<Arc<TraceRecorder>>,
@@ -817,7 +753,6 @@ pub fn serve_qos(
         let shutdown = msg.tag == tags::SHUTDOWN;
         let delivered = match msg.tag {
             tags::SHUTDOWN => msg.reply(vec![status::OK]),
-            tags::GET => handle_get(&state, &msg, &get_bytes),
             tags::GET_MANY => handle_get_many(&state, &msg, &get_bytes),
             tags::GET_META => handle_get_meta(&state, &msg),
             tags::PUT_META => {
@@ -869,31 +804,15 @@ pub fn serve_qos(
     served
 }
 
-fn handle_get(state: &NodeState, msg: &Message, get_bytes: &crate::metrics::Counter) -> bool {
-    let reply = match std::str::from_utf8(&msg.payload) {
-        Ok(path) => match state.get_compressed(path) {
-            Some(mut obj) => {
-                // Failover provenance: stamp which rank actually served
-                // the bytes (differs from `owner_rank` on a replica).
-                obj.stat.served_by = state.rank as u32;
-                get_bytes.add(obj.data.len() as u64);
-                encode_get_reply(&obj)
-            }
-            None => vec![status::NOT_FOUND],
-        },
-        Err(_) => vec![status::BAD_REQUEST],
-    };
-    msg.reply(reply)
-}
-
 fn handle_put(state: &NodeState, msg: &Message) -> bool {
     let reply = match decode_put(&msg.payload) {
         // OK only once the write is durable: put_replica lands it in
         // the WAL (when one is attached) before returning, so a commit
-        // failure must surface as a rejection, never an ACK.
+        // failure — a node fault, not a bad request — must surface as
+        // ERROR, never an ACK.
         Some((path, owner, data)) => match state.put_replica(path, owner, data.to_vec()) {
             Ok(()) => vec![status::OK],
-            Err(_) => vec![status::BAD_REQUEST],
+            Err(_) => vec![status::ERROR],
         },
         None => vec![status::BAD_REQUEST],
     };
@@ -905,7 +824,8 @@ fn handle_unlink(state: &NodeState, msg: &Message) -> bool {
         Ok(path) => match state.remove_write(path) {
             Ok(true) => vec![status::OK],
             Ok(false) => vec![status::NOT_FOUND],
-            Err(_) => vec![status::BAD_REQUEST], // input files are immutable
+            Err(FsError::ReadOnly(_)) => vec![status::BAD_REQUEST], // input files are immutable
+            Err(_) => vec![status::ERROR],                          // WAL tombstone commit failed
         },
         Err(_) => vec![status::BAD_REQUEST],
     };
@@ -934,6 +854,32 @@ mod tests {
     use crate::node::decompress_object;
     use crate::prep::{prepare, PrepConfig};
 
+    /// A whole-file entry frame for `obj`, as the daemon embeds it.
+    fn get_reply(obj: &LocalObject) -> Vec<u8> {
+        let mut out = Vec::new();
+        encode_get_reply_into(&mut out, obj);
+        out
+    }
+
+    /// Read `path` from rank 0 as a 1-entry GET_MANY and return the entry
+    /// frame (the batch framing stripped).
+    fn get_one(service: &Channel, path: &str) -> Vec<u8> {
+        let req = encode_get_many_request_v2(&[GetManySpec::whole(path)]);
+        let reply = service.rpc(0, tags::GET_MANY, req).unwrap();
+        reply[1 + 4 + 4..].to_vec()
+    }
+
+    /// A GET_MANY request in the retired unflagged (v1) form: `[u32
+    /// count]` then per path `[u16 len][path]`.
+    fn unflagged_request(paths: &[&str]) -> Vec<u8> {
+        let mut out = (paths.len() as u32).to_le_bytes().to_vec();
+        for p in paths {
+            out.extend_from_slice(&(p.len() as u16).to_le_bytes());
+            out.extend_from_slice(p.as_bytes());
+        }
+        out
+    }
+
     #[test]
     fn get_reply_roundtrip() {
         let packed = prepare(
@@ -943,7 +889,7 @@ mod tests {
         let state = NodeState::new(0, 1, CacheConfig::default());
         state.load_partition(&packed.partitions[0]).unwrap();
         let obj = state.get_compressed("f.bin").unwrap();
-        let buf = encode_get_reply(&obj);
+        let buf = get_reply(&obj);
         let (codec, stat, data) = decode_get_reply(&buf).unwrap();
         assert_eq!(codec, obj.codec);
         assert_eq!(stat.size, obj.stat.size);
@@ -973,13 +919,16 @@ mod tests {
             if ctx.rank == 0 {
                 let state = Arc::new(NodeState::new(0, 2, CacheConfig::default()));
                 state.load_partition(&parts[0]).unwrap();
-                serve(state, service)
+                serve(state, service, None, None)
             } else {
-                let req = encode_get_many_request(&["g/a.bin", "missing", "g/b.bin"]);
+                let specs = ["g/a.bin", "missing", "g/b.bin"].map(GetManySpec::whole);
+                let req = encode_get_many_request_v2(&specs);
                 let reply = service.rpc(0, tags::GET_MANY, req).unwrap();
-                let entries = decode_get_many_reply(&reply, 3).unwrap();
+                let entries = decode_get_many_reply_v2(&reply, 3).unwrap();
                 assert_eq!(entries.len(), 3);
-                let (codec, stat, data) = entries[0].as_ref().unwrap().clone();
+                let Ok(GetManyItem::Whole(codec, stat, data)) = entries[0].clone() else {
+                    panic!("expected a whole-file entry, got {:?}", entries[0]);
+                };
                 assert_eq!(stat.served_by, 0);
                 let plain = decompress_object(codec, &data, stat.size as usize, "g/a.bin").unwrap();
                 assert_eq!(plain, b"aaaa".repeat(64));
@@ -989,7 +938,7 @@ mod tests {
                 );
                 assert!(entries[2].is_ok(), "entry after the miss still served");
                 // A count mismatch is a batch-level framing error.
-                assert!(decode_get_many_reply(&reply, 2).is_err());
+                assert!(decode_get_many_reply_v2(&reply, 2).is_err());
                 // A malformed request gets BAD_REQUEST, not a crash.
                 let r = service.rpc(0, tags::GET_MANY, vec![1, 0, 0]).unwrap();
                 assert_eq!(r, vec![status::BAD_REQUEST]);
@@ -1020,18 +969,20 @@ mod tests {
         reply.extend_from_slice(&3u32.to_le_bytes());
         let mut entry_starts = Vec::new();
         for p in ["m/a.bin", "m/b.bin", "m/c.bin"] {
-            let entry = encode_get_reply(&state.get_compressed(p).unwrap());
+            let entry = get_reply(&state.get_compressed(p).unwrap());
             reply.extend_from_slice(&(entry.len() as u32).to_le_bytes());
             entry_starts.push(reply.len());
             reply.extend_from_slice(&entry);
         }
         let mid = entry_starts[1] + GET_BODY + 20; // inside entry 1's body
         reply[mid] ^= 0x10;
-        let entries = decode_get_many_reply(&reply, 3).unwrap();
+        let entries = decode_get_many_reply_v2(&reply, 3).unwrap();
         assert!(entries[0].is_ok(), "entry before the flip survives");
         assert!(matches!(entries[1], Err(FsError::Corrupt(_))), "hit entry rejected by its CRC");
         assert!(entries[2].is_ok(), "entry after the flip survives");
-        let (codec, stat, data) = entries[2].as_ref().unwrap().clone();
+        let Ok(GetManyItem::Whole(codec, stat, data)) = entries[2].clone() else {
+            panic!("expected a whole-file entry, got {:?}", entries[2]);
+        };
         let plain = decompress_object(codec, &data, stat.size as usize, "m/c.bin").unwrap();
         assert_eq!(plain, b"entry-c ".repeat(40));
     }
@@ -1039,7 +990,9 @@ mod tests {
     #[test]
     fn get_many_request_roundtrip_and_limits() {
         let paths = vec!["a", "some/deep/path.bin", ""];
-        let buf = encode_get_many_request(&paths);
+        let buf = encode_get_many_request_v2(
+            &paths.iter().map(|p| GetManySpec::whole(p)).collect::<Vec<_>>(),
+        );
         let specs = decode_get_many_request(&buf).unwrap();
         assert_eq!(specs.iter().map(|s| s.path).collect::<Vec<_>>(), paths);
         assert!(specs.iter().all(|s| s.range.is_none() && s.min_tier == crate::pack::TIER_FULL));
@@ -1049,7 +1002,7 @@ mod tests {
         assert!(decode_get_many_request(&noisy).is_none());
         // Oversized counts rejected before allocation.
         let mut huge = Vec::new();
-        huge.extend_from_slice(&(MAX_BATCH as u32 + 1).to_le_bytes());
+        huge.extend_from_slice(&((MAX_BATCH as u32 + 1) | GET_MANY_V2).to_le_bytes());
         assert!(decode_get_many_request(&huge).is_none());
     }
 
@@ -1087,7 +1040,7 @@ mod tests {
             if ctx.rank == 0 {
                 let state = Arc::new(NodeState::new(0, 2, CacheConfig::default()));
                 state.load_partition(&parts[0]).unwrap();
-                serve(state, service)
+                serve(state, service, None, None)
             } else {
                 // A 1000-byte window crossing a chunk boundary: only the
                 // two covering chunks come back, not the whole file.
@@ -1117,15 +1070,10 @@ mod tests {
                 let items = decode_get_many_reply_v2(&reply, 1).unwrap();
                 assert!(matches!(items[0], Err(FsError::BadRange(_))));
 
-                // A v1 whole-file request on the same chunked object still
-                // round-trips (backward compatibility).
-                let req = encode_get_many_request(&["r/big.bin"]);
+                // An unflagged (v1) request is answered BAD_REQUEST.
+                let req = unflagged_request(&["r/big.bin"]);
                 let reply = service.rpc(0, tags::GET_MANY, req).unwrap();
-                let entries = decode_get_many_reply(&reply, 1).unwrap();
-                let (codec, stat, data) = entries[0].as_ref().unwrap().clone();
-                let plain =
-                    decompress_object(codec, &data, stat.size as usize, "r/big.bin").unwrap();
-                assert_eq!(plain, body);
+                assert_eq!(reply, vec![status::BAD_REQUEST]);
                 service.rpc(0, tags::SHUTDOWN, Vec::new()).unwrap();
                 4
             }
@@ -1146,7 +1094,7 @@ mod tests {
             if ctx.rank == 0 {
                 let state = Arc::new(NodeState::new(0, 2, CacheConfig::default()));
                 state.load_partition(&parts[0]).unwrap();
-                serve(state, service)
+                serve(state, service, None, None)
             } else {
                 let specs = vec![GetManySpec::tiered("p/model.f32", 1)];
                 let req = encode_get_many_request_v2(&specs);
@@ -1209,6 +1157,88 @@ mod tests {
     }
 
     #[test]
+    fn partial_entry_with_huge_chunk_count_is_a_typed_error() {
+        // Regression: the chunk count is peer-supplied. A PARTIAL entry
+        // claiming u32::MAX chunks (outer CRC valid, no chunk bytes) must
+        // fail as a typed error, not reserve u32::MAX chunk slots.
+        let mut entry = vec![status::PARTIAL, 0, 0, 0, 0];
+        entry.extend_from_slice(&0u16.to_le_bytes()); // inner codec
+        FileStat::regular(0, 0).encode(&mut entry);
+        entry.extend_from_slice(&4096u32.to_le_bytes()); // chunk size
+        entry.extend_from_slice(&0u64.to_le_bytes()); // raw length
+        entry.extend_from_slice(&u32::MAX.to_le_bytes()); // chunk count
+        let crc = crc32(&entry[GET_BODY..]);
+        entry[1..GET_BODY].copy_from_slice(&crc.to_le_bytes());
+        let mut reply = vec![status::OK];
+        reply.extend_from_slice(&1u32.to_le_bytes());
+        reply.extend_from_slice(&(entry.len() as u32).to_le_bytes());
+        reply.extend_from_slice(&entry);
+        assert!(reply.len() < 200, "a small frame: {} bytes", reply.len());
+        let items = decode_get_many_reply_v2(&reply, 1).unwrap();
+        assert!(matches!(items[0], Err(FsError::Comm(_))), "got {:?}", items[0]);
+    }
+
+    #[test]
+    fn failed_wal_commit_replies_error_and_refused_write_bad_request() {
+        // Regression: a write the node cannot commit (its WAL medium lost
+        // power, so `sync` fails) is a node fault — ERROR, which the
+        // client surfaces as retryable `Comm` — while a refused request
+        // (unlinking an input file) stays BAD_REQUEST, terminal
+        // `ReadOnly`.
+        use crate::client::FsClient;
+        use crate::metrics::MetricsRegistry;
+        use crate::wal::{CrashMedia, RamMedia, WalConfig, WalStore};
+        use std::time::Duration;
+        let packed =
+            prepare(vec![("in/file.bin".to_string(), b"input".repeat(8))], &PrepConfig::default());
+        let parts = packed.partitions;
+        // Size the power cut: one byte past what opening the WAL and
+        // committing two writes consume.
+        let open_wal = |cut: u64| {
+            let media = CrashMedia::new(RamMedia::new(Duration::ZERO), cut);
+            let (wal, _) =
+                WalStore::open(media.clone(), WalConfig::default(), &MetricsRegistry::disabled())
+                    .unwrap();
+            (media, wal)
+        };
+        let (probe, wal) = open_wal(u64::MAX);
+        for key in ["ckpt/a", "ckpt/d"] {
+            wal.put(key, vec![1; 64]).unwrap();
+        }
+        let cut = u64::MAX - probe.remaining() + 1;
+        let results = mpi_sim::launch(2, 1, move |mut ctx| {
+            let service = ctx.take_channel(0);
+            if ctx.rank == 0 {
+                let mut state = NodeState::new(0, 2, CacheConfig::default());
+                state.attach_wal(Arc::new(open_wal(cut).1));
+                state.load_partition(&parts[0]).unwrap();
+                for key in ["ckpt/a", "ckpt/d"] {
+                    state.put_replica(key, 1, vec![1; 64]).unwrap();
+                }
+                serve(Arc::new(state), service, None, None)
+            } else {
+                let state = Arc::new(NodeState::new(1, 2, CacheConfig::default()));
+                let fs = FsClient::new(state, service.remote());
+                // The medium is now past its cut: no write commits.
+                let r = service.rpc(0, tags::PUT, encode_put("ckpt/b", 1, &[2; 64])).unwrap();
+                assert_eq!(r, vec![status::ERROR]);
+                assert!(matches!(fs.put_remote(0, "ckpt/c", &[3; 64]), Err(FsError::Comm(_))));
+                let r = service.rpc(0, tags::UNLINK, b"ckpt/a".to_vec()).unwrap();
+                assert_eq!(r, vec![status::ERROR]);
+                assert!(matches!(fs.unlink_remote(0, "ckpt/d"), Err(FsError::Comm(_))));
+                // Input files are immutable: refused, terminally.
+                let r = service.rpc(0, tags::UNLINK, b"in/file.bin".to_vec()).unwrap();
+                assert_eq!(r, vec![status::BAD_REQUEST]);
+                let refused = fs.unlink_remote(0, "in/file.bin");
+                assert!(matches!(refused, Err(FsError::ReadOnly(_))), "{refused:?}");
+                service.rpc(0, tags::SHUTDOWN, Vec::new()).unwrap();
+                7
+            }
+        });
+        assert_eq!(results[0], 7, "daemon stayed up through every failed write");
+    }
+
+    #[test]
     fn corrupt_local_chunk_table_replies_retryable_error_not_bad_request() {
         // Regression: one node's damaged copy must come back as a
         // retryable error so the client walks the replica ring — a
@@ -1230,7 +1260,7 @@ mod tests {
             if ctx.rank == 0 {
                 let state = Arc::new(NodeState::new(0, 2, CacheConfig::default()));
                 state.load_partition(&part).unwrap();
-                serve(state, service)
+                serve(state, service, None, None)
             } else {
                 let specs = vec![GetManySpec::range("c/big.bin", 0, 1000)];
                 let reply =
@@ -1260,16 +1290,16 @@ mod tests {
             if ctx.rank == 0 {
                 let state = Arc::new(NodeState::new(0, 2, CacheConfig::default()));
                 state.load_partition(&parts[0]).unwrap();
-                serve(state, service)
+                serve(state, service, None, None)
             } else {
-                let reply = service.rpc(0, tags::GET, b"d/file.bin".to_vec()).unwrap();
+                let reply = get_one(&service, "d/file.bin");
                 let (codec, stat, data) = decode_get_reply(&reply).unwrap();
                 assert_eq!(stat.served_by, 0, "daemon stamps the serving rank");
                 let plain =
                     decompress_object(codec, &data, stat.size as usize, "d/file.bin").unwrap();
                 assert_eq!(plain, b"payload payload payload".repeat(8));
                 // Unknown path.
-                let nf = service.rpc(0, tags::GET, b"missing".to_vec()).unwrap();
+                let nf = get_one(&service, "missing");
                 assert_eq!(nf[0], status::NOT_FOUND);
                 // Shut the daemon down.
                 let ok = service.rpc(0, tags::SHUTDOWN, Vec::new()).unwrap();
@@ -1287,7 +1317,7 @@ mod tests {
         let state = NodeState::new(0, 1, CacheConfig::default());
         state.load_partition(&packed.partitions[0]).unwrap();
         let obj = state.get_compressed("f.bin").unwrap();
-        let good = encode_get_reply(&obj);
+        let good = get_reply(&obj);
         // Flip one payload byte: decode must reject via CRC, not panic or
         // hand back corrupt bytes.
         let mut bad = good.clone();
@@ -1307,10 +1337,12 @@ mod tests {
             let service = ctx.take_channel(0);
             if ctx.rank == 0 {
                 let state = Arc::new(NodeState::new(0, 2, CacheConfig::default()));
-                serve(state, service)
+                serve(state, service, None, None)
             } else {
-                // GET with a non-UTF-8 path.
-                let r = service.rpc(0, tags::GET, vec![0xFF, 0xFE, 0x00]).unwrap();
+                // GET_MANY with a non-UTF-8 path.
+                let mut req = (1 | GET_MANY_V2).to_le_bytes().to_vec();
+                req.extend_from_slice(&[3, 0, 0xFF, 0xFE, 0x00, 0]);
+                let r = service.rpc(0, tags::GET_MANY, req).unwrap();
                 assert_eq!(r, vec![status::BAD_REQUEST]);
                 // GET_META with a non-UTF-8 path.
                 let r = service.rpc(0, tags::GET_META, vec![0x80]).unwrap();
@@ -1339,13 +1371,14 @@ mod tests {
                 let state = Arc::new(NodeState::new(0, 2, CacheConfig::default()));
                 let trace = Arc::new(crate::trace::TraceRecorder::new(8));
                 let st = Arc::clone(&state);
-                let served = serve_traced(st, service, Some(Arc::clone(&trace)));
+                let served = serve(st, service, Some(Arc::clone(&trace)), None);
                 (served, state.stats.reply_failures.get(), trace.count(Op::Degraded))
             } else {
                 // A bare send carries no reply conduit: the daemon's
                 // answer is undeliverable and must be counted, not lost
                 // silently.
-                service.send(0, tags::GET, b"whatever".to_vec()).unwrap();
+                let req = encode_get_many_request_v2(&[GetManySpec::whole("whatever")]);
+                service.send(0, tags::GET_MANY, req).unwrap();
                 service.rpc(0, tags::SHUTDOWN, Vec::new()).unwrap();
                 (0, 0, 0)
             }
@@ -1360,7 +1393,7 @@ mod tests {
             if ctx.rank == 0 {
                 let state = Arc::new(NodeState::new(0, 2, CacheConfig::default()));
                 let st = Arc::clone(&state);
-                let served = serve(st, service);
+                let served = serve(st, service, None, None);
                 let still_there = state.writes.read().contains_key("ckpt/seg0");
                 (served, still_there)
             } else {
@@ -1368,7 +1401,7 @@ mod tests {
                 let ok = service.rpc(0, tags::PUT, buf).unwrap();
                 assert_eq!(ok[0], status::OK);
                 // The replica now serves GETs for the pushed object.
-                let reply = service.rpc(0, tags::GET, b"ckpt/seg0".to_vec()).unwrap();
+                let reply = get_one(&service, "ckpt/seg0");
                 let (codec, stat, data) = decode_get_reply(&reply).unwrap();
                 assert_eq!(stat.owner_rank, 1, "owner stays the pusher");
                 let plain =
@@ -1396,7 +1429,7 @@ mod tests {
             if ctx.rank == 0 {
                 let state = Arc::new(NodeState::new(0, 2, CacheConfig::default()));
                 let st = Arc::clone(&state);
-                let served = serve(st, service);
+                let served = serve(st, service, None, None);
                 let size = state.meta.read().stat("out/model_epoch3.h5").map(|s| s.size);
                 (served, size)
             } else {
