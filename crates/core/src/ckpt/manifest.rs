@@ -16,8 +16,7 @@
 //! | crc32 u32 over everything above
 //! ```
 
-use fanstore_compress::crc32::crc32;
-
+use crate::envelope::{self, Reader};
 use crate::FsError;
 
 /// Manifest magic bytes.
@@ -62,9 +61,7 @@ pub struct Manifest {
 impl Manifest {
     /// Serialise, appending the trailing CRC32.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(64 + self.segments.len() * 32);
-        out.extend_from_slice(&MAGIC);
-        out.extend_from_slice(&VERSION.to_le_bytes());
+        let mut out = envelope::begin(MAGIC, VERSION);
         out.extend_from_slice(&self.generation.to_le_bytes());
         out.extend_from_slice(&self.base.unwrap_or(FULL).to_le_bytes());
         out.extend_from_slice(&self.chunk_size.to_le_bytes());
@@ -72,78 +69,34 @@ impl Manifest {
         out.extend_from_slice(&self.stored_bytes.to_le_bytes());
         out.extend_from_slice(&(self.segments.len() as u32).to_le_bytes());
         for s in &self.segments {
-            out.extend_from_slice(&(s.name.len() as u16).to_le_bytes());
-            out.extend_from_slice(s.name.as_bytes());
+            envelope::put_name(&mut out, &s.name);
             out.extend_from_slice(&s.chunks.to_le_bytes());
             out.extend_from_slice(&s.bytes.to_le_bytes());
             out.extend_from_slice(&s.crc.to_le_bytes());
         }
-        let crc = crc32(&out);
-        out.extend_from_slice(&crc.to_le_bytes());
-        out
+        envelope::seal(out)
     }
 
     /// Decode and CRC-verify a manifest.
     pub fn decode(buf: &[u8]) -> Result<Manifest, FsError> {
-        let corrupt = |m: &str| FsError::Corrupt(format!("manifest: {m}"));
-        if buf.len() < 4 + 2 + 8 + 8 + 4 + 8 + 8 + 4 + 4 {
-            return Err(corrupt("truncated"));
-        }
-        let (body, tail) = buf.split_at(buf.len() - 4);
-        let expect = u32::from_le_bytes(tail.try_into().expect("4 bytes"));
-        let actual = crc32(body);
-        if expect != actual {
-            return Err(corrupt(&format!(
-                "CRC mismatch: stored {expect:08x}, computed {actual:08x}"
-            )));
-        }
-        if body[..4] != MAGIC {
-            return Err(corrupt("bad magic"));
-        }
-        let version = u16::from_le_bytes(body[4..6].try_into().expect("2 bytes"));
-        if version != VERSION {
-            return Err(corrupt(&format!("unsupported version {version}")));
-        }
-        let generation = u64::from_le_bytes(body[6..14].try_into().expect("8 bytes"));
-        let base_raw = u64::from_le_bytes(body[14..22].try_into().expect("8 bytes"));
-        let chunk_size = u32::from_le_bytes(body[22..26].try_into().expect("4 bytes"));
-        let raw_bytes = u64::from_le_bytes(body[26..34].try_into().expect("8 bytes"));
-        let stored_bytes = u64::from_le_bytes(body[34..42].try_into().expect("8 bytes"));
-        let count = u32::from_le_bytes(body[42..46].try_into().expect("4 bytes")) as usize;
-        let mut pos = 46usize;
-        let mut segments = Vec::with_capacity(count.min(4096));
-        for i in 0..count {
-            let nlen = u16::from_le_bytes(
-                body.get(pos..pos + 2)
-                    .ok_or_else(|| corrupt("segment truncated"))?
-                    .try_into()
-                    .expect("2 bytes"),
-            ) as usize;
-            pos += 2;
-            let name = std::str::from_utf8(
-                body.get(pos..pos + nlen).ok_or_else(|| corrupt("segment truncated"))?,
-            )
-            .map_err(|_| corrupt(&format!("segment {i} name not utf-8")))?
-            .to_string();
-            pos += nlen;
-            let rest = body.get(pos..pos + 16).ok_or_else(|| corrupt("segment truncated"))?;
-            let chunks = u32::from_le_bytes(rest[..4].try_into().expect("4 bytes"));
-            let bytes = u64::from_le_bytes(rest[4..12].try_into().expect("8 bytes"));
-            let crc = u32::from_le_bytes(rest[12..16].try_into().expect("4 bytes"));
-            pos += 16;
-            segments.push(SegmentMeta { name, chunks, bytes, crc });
-        }
-        if pos != body.len() {
-            return Err(corrupt("trailing bytes"));
-        }
-        Ok(Manifest {
-            generation,
-            base: (base_raw != FULL).then_some(base_raw),
-            chunk_size,
-            raw_bytes,
-            stored_bytes,
-            segments,
-        })
+        let mut r = Reader::open(buf, MAGIC, VERSION, "manifest")?;
+        let manifest = Manifest {
+            generation: u64::from_le_bytes(r.take()?),
+            base: Some(u64::from_le_bytes(r.take()?)).filter(|&b| b != FULL),
+            chunk_size: u32::from_le_bytes(r.take()?),
+            raw_bytes: u64::from_le_bytes(r.take()?),
+            stored_bytes: u64::from_le_bytes(r.take()?),
+            segments: r.list(|r| {
+                Ok(SegmentMeta {
+                    name: r.name()?,
+                    chunks: u32::from_le_bytes(r.take()?),
+                    bytes: u64::from_le_bytes(r.take()?),
+                    crc: u32::from_le_bytes(r.take()?),
+                })
+            })?,
+        };
+        r.finish()?;
+        Ok(manifest)
     }
 }
 

@@ -25,8 +25,8 @@ use crate::daemon::{
 };
 use crate::meta::encode_single;
 use crate::metrics::{now_us, Counter, Gauge, Histogram};
-use crate::node::{NodeState, RangeChunk, RangePieces};
-use crate::pack::CHUNKED;
+use crate::node::NodeState;
+use crate::pack::{ChunkKind, RangePieces, CHUNKED, TIER_FULL};
 use crate::placement::replicas_of;
 use crate::qos::{QosPolicy, SloTracker, TenantId, TokenBucket};
 use crate::stat::FileStat;
@@ -642,13 +642,9 @@ impl FsClient {
             self.state.stats.shed_replies.inc();
         }
         let items = items?;
-        for item in items.iter().flatten() {
-            let bytes = match item {
-                GetManyItem::Whole(_, _, data) => data.len(),
-                GetManyItem::Partial(p) => p.chunks.iter().map(|c| c.stored.len()).sum(),
-            };
+        for (_, _, payload) in items.iter().flatten() {
             self.state.stats.remote_opens.inc();
-            self.state.stats.remote_bytes.add(bytes as u64);
+            self.state.stats.remote_bytes.add(payload.len() as u64);
         }
         Ok(items)
     }
@@ -774,45 +770,40 @@ impl FsClient {
     }
 
     /// Decode one served entry for `spec`. A whole or tier read gets the
-    /// file (or its fidelity-bounded approximation), uncached; a range
-    /// read gets its window, with fetched range chunks landing in the
-    /// cache as partial residency. An at-rest CRC or decode failure is
-    /// [`FsError::Corrupt`], so the ladder moves to the next replica.
+    /// file (or its fidelity-bounded approximation), uncached — a tier
+    /// read of a range-chunked object decodes the whole file; a range
+    /// read of a range-chunked object decodes the covering rows of its
+    /// FCHK sub-container, which land in the cache as partial residency.
+    /// An at-rest CRC, table or decode failure is [`FsError::Corrupt`], so
+    /// the ladder moves to the next replica.
     fn decode_item(
         &self,
         spec: &GetManySpec,
-        item: GetManyItem,
+        (codec, stat, data): GetManyItem,
         request: u64,
     ) -> Result<Vec<u8>, FsError> {
-        let p = match item {
-            GetManyItem::Whole(codec, stat, data) => {
-                return self.decode_whole(spec, codec, stat.size, &data, request)
+        let corrupt = |e: FsError| FsError::Corrupt(format!("{}: {e}", spec.path));
+        if codec == CHUNKED && (spec.range.is_some() || spec.min_tier != TIER_FULL) {
+            let table = crate::pack::parse_chunk_table(&data).map_err(corrupt)?;
+            match (table.kind, spec.range) {
+                (ChunkKind::Range, Some((start, end))) => {
+                    let pieces =
+                        crate::pack::decode_covering(&data, &table, start, end).map_err(corrupt)?;
+                    return self.cache_window(spec.path, &pieces, start, end, request);
+                }
+                (ChunkKind::Progressive, range) if spec.min_tier != TIER_FULL => {
+                    let approx =
+                        crate::pack::decode_tiers(&data, &table, spec.min_tier).map_err(corrupt)?;
+                    return match range {
+                        Some((start, end)) => slice_range(&approx, start, end, spec.path),
+                        None => Ok(approx),
+                    };
+                }
+                // Every row was served: decode the whole object.
+                _ => {}
             }
-            GetManyItem::Partial(p) => p,
-        };
-        if p.chunk_size == 0 {
-            // Progressive tiers: any prefix decodes to an approximation,
-            // the full set to the exact file.
-            let tiers: Vec<Vec<u8>> =
-                p.chunks.iter().map(|c| c.decode(p.inner_codec)).collect::<Result<_, _>>()?;
-            let refs: Vec<&[u8]> = tiers.iter().map(Vec::as_slice).collect();
-            let approx =
-                fanstore_compress::progressive::decode_prefix(&refs, p.raw_len as usize)
-                    .map_err(|e| FsError::Corrupt(format!("{}: tier decode: {e}", spec.path)))?;
-            return match spec.range {
-                Some((start, end)) => slice_range(&approx, start, end, spec.path),
-                None => Ok(approx),
-            };
         }
-        let mut chunks = Vec::with_capacity(p.chunks.len());
-        for c in &p.chunks {
-            let raw = Arc::new(c.decode(p.inner_codec)?);
-            self.state.cache.insert_chunk(spec.path, p.chunk_size, p.raw_len, c.index, raw.clone());
-            chunks.push(RangeChunk { index: c.index, offset: c.offset, data: raw });
-        }
-        let pieces = RangePieces { chunk_size: p.chunk_size, total_len: p.raw_len, chunks };
-        let (start, end) = spec.range.unwrap_or((0, p.raw_len));
-        self.assemble_span(&pieces, start, end, request)
+        self.decode_whole(spec, codec, stat.size, &data, request)
     }
 
     /// Decompress a whole object for `spec` (a served whole-file entry or
@@ -938,7 +929,7 @@ impl FsClient {
                         // Chunked containers carry at-rest chunk CRCs:
                         // decode now, so a damaged copy falls back to the
                         // replica ladder as a single read would.
-                        Ok(GetManyItem::Whole(codec, stat, bytes)) if codec == CHUNKED => {
+                        Ok((codec, stat, bytes)) if codec == CHUNKED => {
                             match self.decode_whole(spec, codec, stat.size, &bytes, request) {
                                 Ok(plain) => {
                                     let data = self.state.cache.insert(spec.path, Arc::new(plain));
@@ -947,7 +938,7 @@ impl FsClient {
                                 Err(_) => self.state.stats.crc_failures.inc(),
                             }
                         }
-                        Ok(GetManyItem::Whole(codec, stat, bytes)) => {
+                        Ok((codec, stat, bytes)) => {
                             out[slot] = Some(Ok(RawEntry::Packed {
                                 codec,
                                 size: stat.size as usize,
@@ -956,8 +947,8 @@ impl FsClient {
                             }));
                         }
                         Err(FsError::Corrupt(_)) => self.state.stats.crc_failures.inc(),
-                        // NOT_FOUND, or a PARTIAL frame a whole-file spec
-                        // never asks for: the fallback pass decides.
+                        // NOT_FOUND or any other entry error: the
+                        // fallback pass decides.
                         _ => {}
                     }
                 }
@@ -1331,16 +1322,7 @@ impl FsClient {
         // 2. Locally-owned chunked object: decode only the covering
         // chunks from the partition.
         if let Some(pieces) = self.state.read_local_chunks(path, start, end)? {
-            for c in &pieces.chunks {
-                self.state.cache.insert_chunk(
-                    path,
-                    pieces.chunk_size,
-                    pieces.total_len,
-                    c.index,
-                    c.data.clone(),
-                );
-            }
-            return self.assemble_span(&pieces, start, end, request);
+            return self.cache_window(path, &pieces, start, end, request);
         }
         // 3. Remote owner: the daemon sends only the covering chunks of
         // a chunked object (the whole object otherwise).
@@ -1357,15 +1339,22 @@ impl FsClient {
         out
     }
 
-    /// Assemble `[start, end)` from decoded range pieces under a
-    /// `client.assemble` span.
-    fn assemble_span(
+    /// Install decoded range pieces in the cache as partial residency
+    /// (chunk `offset / chunk_size`), then assemble `[start, end)` under a
+    /// `client.assemble` span — for local and served chunks alike.
+    fn cache_window(
         &self,
+        path: &str,
         pieces: &RangePieces,
         start: u64,
         end: u64,
         request: u64,
     ) -> Result<Vec<u8>, FsError> {
+        let (size, total) = (pieces.chunk_size, pieces.total_len);
+        for (offset, data) in &pieces.chunks {
+            let index = (offset / u64::from(size)) as u32;
+            self.state.cache.insert_chunk(path, size, total, index, Arc::clone(data));
+        }
         let t = if self.timed { now_us() } else { 0 };
         let out = pieces.assemble(start, end);
         if self.timed {

@@ -9,8 +9,11 @@
 //!   codec and stat — decompression happens on the requesting node, so
 //!   the interconnect carries compressed data (§IV-C2) — each framed
 //!   with its own status byte and CRC32 so a missing or corrupted entry
-//!   fails alone. A single-file read is a 1-entry batch (see DESIGN.md,
-//!   "Batched read protocol").
+//!   fails alone. A ranged or tiered entry for a chunked object carries
+//!   the FCHK sub-container of the rows it needs, in the one at-rest
+//!   chunk format of [`crate::pack`], which alone decodes it. A
+//!   single-file read is a 1-entry batch (see DESIGN.md, "Batched read
+//!   protocol").
 //! * **GET_META** — metadata lookup: the stat fallback for paths not yet
 //!   in the requester's local view.
 //! * **PUT_META** — write-metadata insertion: a peer closed an output file
@@ -72,10 +75,6 @@ pub mod status {
     /// tenant's queue was full. The client treats this as retryable and
     /// falls over to the next replica / read-through.
     pub const SHED: u8 = 3;
-    /// Entry served as a *partial* frame: only the chunks covering the
-    /// requested byte range (or the fidelity tiers up to `min_tier`) of
-    /// a chunked object, each with its own stored-CRC.
-    pub const PARTIAL: u8 = 4;
     /// This node failed to serve the request (e.g. its local copy's chunk
     /// table or payload is corrupt, or a write's WAL commit failed).
     /// Unlike [`BAD_REQUEST`] this says nothing about the request itself,
@@ -108,30 +107,55 @@ fn decode_put(buf: &[u8]) -> Option<(&str, u32, &[u8])> {
     Some((path, owner, &buf[2 + plen + 4..]))
 }
 
-/// Append a whole-file entry frame to `out`: `[status][crc32 u32]
-/// [codec u16][stat 144B][compressed bytes]`. Entries are assembled
-/// straight into the outgoing reply buffer instead of through a
-/// per-entry `Vec`; the CRC placeholder is patched once the body is in
-/// place. The CRC covers everything after the CRC field, so a requester
-/// can reject in-flight corruption before decompressing.
-fn encode_get_reply_into(out: &mut Vec<u8>, obj: &LocalObject) {
-    out.reserve(GET_BODY + 2 + STAT_SIZE + obj.data.len());
+/// Append an entry frame for `obj` to `out`: `[status OK][crc32 u32]
+/// [codec u16][stat 144B][payload]`. The payload is the stored
+/// (compressed) object, except that a ranged or tiered `spec` of a
+/// chunked object gets only the FCHK sub-container of the rows it needs
+/// ([`crate::pack::write_rows`]). Entries are assembled straight into the
+/// outgoing reply buffer; the CRC placeholder is patched once the body is
+/// in place. The CRC covers everything after the CRC field, so a
+/// requester can reject in-flight corruption before decoding. Returns
+/// the payload length; a malformed range is [`FsError::BadRange`], a
+/// damaged local chunk table [`FsError::Corrupt`].
+fn encode_entry_into(
+    out: &mut Vec<u8>,
+    obj: &LocalObject,
+    spec: &GetManySpec<'_>,
+) -> Result<usize, FsError> {
+    let subset = obj.codec == crate::pack::CHUNKED
+        && (spec.range.is_some() || spec.min_tier != crate::pack::TIER_FULL);
+    out.reserve(GET_BODY + 2 + STAT_SIZE + if subset { 0 } else { obj.data.len() });
     let frame = out.len();
     out.push(status::OK);
     out.extend_from_slice(&[0u8; 4]); // CRC placeholder
     out.extend_from_slice(&obj.codec.0.to_le_bytes());
     obj.stat.encode(out);
-    out.extend_from_slice(&obj.data);
+    let payload = out.len();
+    if subset {
+        let table = crate::pack::parse_chunk_table(&obj.data)?;
+        let rows = match (table.kind, spec.range) {
+            (crate::pack::ChunkKind::Progressive, _) => table.tiers_up_to(spec.min_tier),
+            (_, Some((start, end))) if start < end && end <= table.raw_len => {
+                table.covering(start, end)
+            }
+            (_, Some((start, end))) => {
+                return Err(FsError::BadRange(format!("[{start}, {end}) of {}", table.raw_len)))
+            }
+            (_, None) => (0..table.chunks.len()).collect(),
+        };
+        crate::pack::write_rows(out, &obj.data, &table, &rows);
+    } else {
+        out.extend_from_slice(&obj.data);
+    }
     let crc = crc32(&out[frame + GET_BODY..]);
     out[frame + 1..frame + GET_BODY].copy_from_slice(&crc.to_le_bytes());
+    Ok(out.len() - payload)
 }
 
-/// Decode a whole-file entry frame into `(codec, stat, compressed)`,
+/// Decode an entry frame into `(codec, stat, payload)`,
 /// verifying the CRC32. A mismatch decodes to [`FsError::Corrupt`], which
 /// the client's failover path treats as retryable on the next replica.
-fn decode_get_reply(
-    buf: &[u8],
-) -> Result<(fanstore_compress::CodecId, FileStat, Vec<u8>), FsError> {
+fn decode_get_reply(buf: &[u8]) -> Result<GetManyItem, FsError> {
     match buf.first() {
         Some(&s) if s == status::OK => {}
         Some(&s) if s == status::NOT_FOUND => {
@@ -261,182 +285,10 @@ fn decode_get_many_request(buf: &[u8]) -> Option<Vec<GetManySpec<'_>>> {
     }
 }
 
-/// One chunk of a PARTIAL entry: its table row plus the stored bytes.
-#[derive(Debug, Clone)]
-pub struct PartialChunk {
-    /// Chunk index in the file's chunk table.
-    pub index: u32,
-    /// Fidelity tier (0 for range chunks).
-    pub tier: u8,
-    /// First raw byte the chunk covers.
-    pub offset: u64,
-    /// Decoded length of the chunk.
-    pub raw_len: u32,
-    /// At-rest CRC-32 of the stored bytes (from the chunk table — a
-    /// mismatch against `stored` means the *serving node's copy* is
-    /// damaged, so the client fails over to a replica).
-    pub crc32: u32,
-    /// Stored (possibly compressed) chunk bytes.
-    pub stored: Vec<u8>,
-}
-
-impl PartialChunk {
-    /// Verify the chunk's at-rest CRC and decode it to raw bytes. An
-    /// at-rest mismatch means the *serving node's partition copy* is
-    /// damaged (the outer entry CRC already ruled out in-flight damage),
-    /// so the caller should fail over to a replica.
-    pub fn decode(&self, inner: fanstore_compress::CodecId) -> Result<Vec<u8>, FsError> {
-        if crc32(&self.stored) != self.crc32 {
-            return Err(FsError::Corrupt(format!("chunk {}: at-rest CRC mismatch", self.index)));
-        }
-        if self.stored.len() == self.raw_len as usize {
-            return Ok(self.stored.clone());
-        }
-        let codec = fanstore_compress::registry::create(inner)
-            .map_err(|e| FsError::Corrupt(format!("chunk {}: {e}", self.index)))?;
-        fanstore_compress::decompress_to_vec(codec.as_ref(), &self.stored, self.raw_len as usize)
-            .map_err(|e| FsError::Corrupt(format!("chunk {}: {e}", self.index)))
-    }
-}
-
-/// A decoded PARTIAL entry: the chunks covering the requested range (or
-/// fidelity prefix) plus the geometry needed to decode and cache them.
-#[derive(Debug, Clone)]
-pub struct PartialReply {
-    /// Codec the range chunks are compressed with.
-    pub inner_codec: fanstore_compress::CodecId,
-    /// File attributes.
-    pub stat: FileStat,
-    /// Nominal chunk size (0 for progressive containers).
-    pub chunk_size: u32,
-    /// Total raw file length.
-    pub raw_len: u64,
-    /// Served chunks, in table order.
-    pub chunks: Vec<PartialChunk>,
-}
-
-/// One decoded v2 GET_MANY entry: a whole-file frame or a partial frame.
-#[derive(Debug, Clone)]
-pub enum GetManyItem {
-    /// A whole-file entry: codec, stat, compressed payload.
-    Whole(fanstore_compress::CodecId, FileStat, Vec<u8>),
-    /// A partial (chunked) entry.
-    Partial(PartialReply),
-}
-
-/// Append a PARTIAL entry frame for a chunked object:
-/// `[PARTIAL][crc32 u32][inner codec u16][stat 144B][chunk_size u32]
-/// [raw_len u64][count u32]` then, per chunk,
-/// `[idx u32][tier u8][offset u64][raw_len u32][stored_len u32][crc32 u32]
-/// [stored bytes]`. The outer CRC covers everything after the CRC field
-/// (in-flight damage fails the entry); each chunk additionally carries
-/// its at-rest CRC from the chunk table, which the daemon does *not*
-/// verify — a client detecting an at-rest mismatch fails over to a
-/// replica whose copy may be intact.
-fn encode_partial_entry(
-    out: &mut Vec<u8>,
-    obj: &LocalObject,
-    spec: &GetManySpec<'_>,
-    get_bytes: &crate::metrics::Counter,
-) -> Result<(), FsError> {
-    let table = crate::pack::parse_chunk_table(&obj.data)?;
-    let idxs = match table.kind {
-        crate::pack::ChunkKind::Progressive => table.tiers_up_to(spec.min_tier),
-        crate::pack::ChunkKind::Range => match spec.range {
-            Some((start, end)) if start < end && end <= table.raw_len => table.covering(start, end),
-            Some((start, end)) => {
-                return Err(FsError::BadRange(format!("[{start}, {end}) of {}", table.raw_len)))
-            }
-            None => (0..table.chunks.len()).collect(),
-        },
-    };
-    let frame = out.len();
-    out.push(status::PARTIAL);
-    out.extend_from_slice(&[0u8; 4]); // outer CRC placeholder
-    out.extend_from_slice(&table.inner_codec.0.to_le_bytes());
-    obj.stat.encode(out);
-    out.extend_from_slice(&table.chunk_size.to_le_bytes());
-    out.extend_from_slice(&table.raw_len.to_le_bytes());
-    out.extend_from_slice(&u32::try_from(idxs.len()).expect("chunk count fits u32").to_le_bytes());
-    let mut sent = 0u64;
-    for idx in idxs {
-        let c = table.chunks[idx];
-        let at = table.payload_offset(idx);
-        let end = at + c.stored_len as usize;
-        if obj.data.len() < end {
-            return Err(FsError::Corrupt(format!("chunk {idx} payload truncated")));
-        }
-        out.extend_from_slice(&(idx as u32).to_le_bytes());
-        out.push(c.tier);
-        out.extend_from_slice(&c.offset.to_le_bytes());
-        out.extend_from_slice(&c.raw_len.to_le_bytes());
-        out.extend_from_slice(&c.stored_len.to_le_bytes());
-        out.extend_from_slice(&c.crc32.to_le_bytes());
-        out.extend_from_slice(&obj.data[at..end]);
-        sent += u64::from(c.stored_len);
-    }
-    get_bytes.add(sent);
-    let crc = crc32(&out[frame + GET_BODY..]);
-    out[frame + 1..frame + GET_BODY].copy_from_slice(&crc.to_le_bytes());
-    Ok(())
-}
-
-/// Fixed size of one chunk header in a PARTIAL frame.
-const PARTIAL_CHUNK_HEADER: usize = 4 + 1 + 8 + 4 + 4 + 4;
-
-/// Decode a PARTIAL entry frame (inverse of [`encode_partial_entry`]).
-fn decode_partial_entry(buf: &[u8]) -> Result<PartialReply, FsError> {
-    if buf.len() < GET_BODY + 2 + STAT_SIZE + 4 + 8 + 4 {
-        return Err(FsError::Comm("short PARTIAL entry".into()));
-    }
-    let expect = u32::from_le_bytes(buf[1..GET_BODY].try_into().expect("4 bytes"));
-    let actual = crc32(&buf[GET_BODY..]);
-    if expect != actual {
-        return Err(FsError::Corrupt(format!(
-            "PARTIAL entry CRC mismatch: stored {expect:08x}, computed {actual:08x}"
-        )));
-    }
-    let mut off = GET_BODY;
-    let inner_codec =
-        fanstore_compress::CodecId(u16::from_le_bytes(buf[off..off + 2].try_into().expect("2B")));
-    off += 2;
-    let stat = FileStat::decode(&buf[off..off + STAT_SIZE])?;
-    off += STAT_SIZE;
-    let chunk_size = u32::from_le_bytes(buf[off..off + 4].try_into().expect("4 bytes"));
-    off += 4;
-    let raw_len = u64::from_le_bytes(buf[off..off + 8].try_into().expect("8 bytes"));
-    off += 8;
-    let count = u32::from_le_bytes(buf[off..off + 4].try_into().expect("4 bytes")) as usize;
-    off += 4;
-    // The count is peer-supplied: reserve no more chunks than the
-    // remaining bytes could hold headers for.
-    let mut chunks = Vec::with_capacity(count.min((buf.len() - off) / PARTIAL_CHUNK_HEADER));
-    for _ in 0..count {
-        let head = buf
-            .get(off..off + PARTIAL_CHUNK_HEADER)
-            .ok_or_else(|| FsError::Comm("truncated PARTIAL chunk header".into()))?;
-        let index = u32::from_le_bytes(head[..4].try_into().expect("4 bytes"));
-        let tier = head[4];
-        let offset = u64::from_le_bytes(head[5..13].try_into().expect("8 bytes"));
-        let craw = u32::from_le_bytes(head[13..17].try_into().expect("4 bytes"));
-        let stored_len = u32::from_le_bytes(head[17..21].try_into().expect("4 bytes")) as usize;
-        let crc = u32::from_le_bytes(head[21..25].try_into().expect("4 bytes"));
-        off += PARTIAL_CHUNK_HEADER;
-        let stored = buf
-            .get(off..off + stored_len)
-            .ok_or_else(|| FsError::Comm("truncated PARTIAL chunk payload".into()))?
-            .to_vec();
-        off += stored_len;
-        chunks.push(PartialChunk { index, tier, offset, raw_len: craw, crc32: crc, stored });
-    }
-    if off != buf.len() {
-        return Err(FsError::Comm(format!(
-            "PARTIAL entry trailing bytes: consumed {off} of {}",
-            buf.len()
-        )));
-    }
-    Ok(PartialReply { inner_codec, stat, chunk_size, raw_len, chunks })
-}
+/// One decoded GET_MANY entry: codec, stat and payload — the stored
+/// object, or for a ranged or tiered read of a chunked object the FCHK
+/// sub-container of the rows it needs.
+pub type GetManyItem = (fanstore_compress::CodecId, FileStat, Vec<u8>);
 
 /// Decode a GET_MANY reply. The outer frame is `[status][u32 count]`
 /// followed by `count` length-prefixed entries (`[u32 len][entry]`), in
@@ -444,9 +296,7 @@ fn decode_partial_entry(buf: &[u8]) -> Result<PartialReply, FsError> {
 /// byte flipped in flight fails only the entry it landed in, so the
 /// caller can fail over per entry instead of refetching the whole batch;
 /// outer-frame damage (or a count mismatch) fails the batch as a whole.
-/// An entry is a whole-file frame *or* a PARTIAL frame (first byte
-/// [`status::PARTIAL`]). A
-/// [`status::BAD_REQUEST`] entry byte maps to [`FsError::BadRange`] — the
+/// A [`status::BAD_REQUEST`] entry byte maps to [`FsError::BadRange`] — the
 /// daemon judged the requested range malformed for that file, so
 /// retrying a replica would not help. A [`status::ERROR`] entry byte maps
 /// to [`FsError::Corrupt`]: the serving node's own copy was damaged, so
@@ -486,16 +336,13 @@ pub fn decode_get_many_reply_v2(
             .ok_or_else(|| FsError::Comm("truncated GET_MANY entry".into()))?;
         off += len;
         out.push(match entry.first() {
-            Some(&s) if s == status::PARTIAL => {
-                decode_partial_entry(entry).map(GetManyItem::Partial)
-            }
             Some(&s) if s == status::BAD_REQUEST => {
                 Err(FsError::BadRange("rejected by serving daemon".into()))
             }
             Some(&s) if s == status::ERROR => {
                 Err(FsError::Corrupt("serving daemon's local copy damaged".into()))
             }
-            _ => decode_get_reply(entry).map(|(c, s, d)| GetManyItem::Whole(c, s, d)),
+            _ => decode_get_reply(entry),
         });
     }
     Ok(out)
@@ -514,29 +361,20 @@ fn handle_get_many(state: &NodeState, msg: &Message, get_bytes: &crate::metrics:
                 match state.get_compressed(spec.path) {
                     Some(mut obj) => {
                         obj.stat.served_by = state.rank as u32;
-                        let want_partial =
-                            spec.range.is_some() || spec.min_tier != crate::pack::TIER_FULL;
-                        if want_partial && obj.codec == crate::pack::CHUNKED {
-                            let body = out.len();
-                            match encode_partial_entry(&mut out, &obj, spec, get_bytes) {
-                                Ok(()) => {}
-                                // Only a malformed range is the client's
-                                // fault; anything else (corrupt local
-                                // chunk table/payload) must come back
-                                // retryable so the client walks the
-                                // replica ring instead of giving up.
-                                Err(FsError::BadRange(_)) => {
-                                    out.truncate(body);
-                                    out.push(status::BAD_REQUEST);
-                                }
-                                Err(_) => {
-                                    out.truncate(body);
-                                    out.push(status::ERROR);
-                                }
+                        let body = out.len();
+                        match encode_entry_into(&mut out, &obj, spec) {
+                            Ok(sent) => get_bytes.add(sent as u64),
+                            // Only a malformed range is the client's
+                            // fault; a corrupt local chunk table must
+                            // come back retryable so the client walks
+                            // the replica ring instead of giving up.
+                            Err(e) => {
+                                out.truncate(body);
+                                out.push(match e {
+                                    FsError::BadRange(_) => status::BAD_REQUEST,
+                                    _ => status::ERROR,
+                                });
                             }
-                        } else {
-                            get_bytes.add(obj.data.len() as u64);
-                            encode_get_reply_into(&mut out, &obj);
                         }
                     }
                     None => out.push(status::NOT_FOUND),
@@ -857,7 +695,7 @@ mod tests {
     /// A whole-file entry frame for `obj`, as the daemon embeds it.
     fn get_reply(obj: &LocalObject) -> Vec<u8> {
         let mut out = Vec::new();
-        encode_get_reply_into(&mut out, obj);
+        encode_entry_into(&mut out, obj, &GetManySpec::whole("")).unwrap();
         out
     }
 
@@ -926,7 +764,7 @@ mod tests {
                 let reply = service.rpc(0, tags::GET_MANY, req).unwrap();
                 let entries = decode_get_many_reply_v2(&reply, 3).unwrap();
                 assert_eq!(entries.len(), 3);
-                let Ok(GetManyItem::Whole(codec, stat, data)) = entries[0].clone() else {
+                let Ok((codec, stat, data)) = entries[0].clone() else {
                     panic!("expected a whole-file entry, got {:?}", entries[0]);
                 };
                 assert_eq!(stat.served_by, 0);
@@ -980,7 +818,7 @@ mod tests {
         assert!(entries[0].is_ok(), "entry before the flip survives");
         assert!(matches!(entries[1], Err(FsError::Corrupt(_))), "hit entry rejected by its CRC");
         assert!(entries[2].is_ok(), "entry after the flip survives");
-        let Ok(GetManyItem::Whole(codec, stat, data)) = entries[2].clone() else {
+        let Ok((codec, stat, data)) = entries[2].clone() else {
             panic!("expected a whole-file entry, got {:?}", entries[2]);
         };
         let plain = decompress_object(codec, &data, stat.size as usize, "m/c.bin").unwrap();
@@ -1048,17 +886,17 @@ mod tests {
                 let req = encode_get_many_request_v2(&specs);
                 let reply = service.rpc(0, tags::GET_MANY, req).unwrap();
                 let items = decode_get_many_reply_v2(&reply, 1).unwrap();
-                let p = match items[0].as_ref().unwrap() {
-                    GetManyItem::Partial(p) => p.clone(),
-                    other => panic!("expected partial entry, got {other:?}"),
-                };
-                assert_eq!(p.stat.served_by, 0);
+                let (codec, stat, data) = items[0].clone().unwrap();
+                assert_eq!(codec, crate::pack::CHUNKED, "expected an FCHK sub-container");
+                let p = crate::pack::parse_chunk_table(&data).unwrap();
+                assert_eq!(stat.served_by, 0);
                 assert_eq!(p.raw_len, body.len() as u64);
                 assert_eq!(p.chunk_size, 4096);
                 assert_eq!(p.chunks.len(), 2, "only the covering chunks travel");
+                let pieces = crate::pack::decode_covering(&data, &p, 3800, 4800).unwrap();
                 let mut window = Vec::new();
-                for c in &p.chunks {
-                    window.extend_from_slice(&c.decode(p.inner_codec).unwrap());
+                for (_, c) in &pieces.chunks {
+                    window.extend_from_slice(c);
                 }
                 let lo = p.chunks[0].offset as usize;
                 assert_eq!(&window[3800 - lo..4800 - lo], &body[3800..4800]);
@@ -1100,19 +938,12 @@ mod tests {
                 let req = encode_get_many_request_v2(&specs);
                 let reply = service.rpc(0, tags::GET_MANY, req).unwrap();
                 let items = decode_get_many_reply_v2(&reply, 1).unwrap();
-                let p = match items[0].as_ref().unwrap() {
-                    GetManyItem::Partial(p) => p.clone(),
-                    other => panic!("expected partial entry, got {other:?}"),
-                };
+                let (_, _, data) = items[0].clone().unwrap();
+                let p = crate::pack::parse_chunk_table(&data).unwrap();
                 assert_eq!(p.chunks.len(), 2, "tiers 0..=1 travel, 2..=3 stay home");
                 assert_eq!(p.chunks.iter().map(|c| c.tier).collect::<Vec<_>>(), vec![0, 1]);
                 // The served tier prefix decodes to a usable approximation.
-                let tiers: Vec<Vec<u8>> =
-                    p.chunks.iter().map(|c| c.decode(p.inner_codec).unwrap()).collect();
-                let refs: Vec<&[u8]> = tiers.iter().map(Vec::as_slice).collect();
-                let approx =
-                    fanstore_compress::progressive::decode_prefix(&refs, p.raw_len as usize)
-                        .unwrap();
+                let approx = crate::pack::decode_progressive_prefix(&data, 1).unwrap();
                 assert_eq!(approx.len(), floats.len());
                 service.rpc(0, tags::SHUTDOWN, Vec::new()).unwrap();
                 2
@@ -1132,17 +963,19 @@ mod tests {
         state.load_partition(&packed.partitions[0]).unwrap();
         let obj = state.get_compressed("t/file.bin").unwrap();
         let spec = GetManySpec::range("t/file.bin", 0, 5000);
-        let counter = crate::metrics::MetricsRegistry::disabled().counter("test.bytes");
+        // The entry's payload is an FCHK sub-container, decoded by the
+        // pack parser alone.
+        let decode = |entry: &[u8]| crate::pack::parse_chunk_table(&decode_get_reply(entry)?.2);
         let mut entry = Vec::new();
-        encode_partial_entry(&mut entry, &obj, &spec, &counter).unwrap();
-        assert!(decode_partial_entry(&entry).is_ok());
+        encode_entry_into(&mut entry, &obj, &spec).unwrap();
+        assert!(decode(&entry).is_ok());
         // Trailing bytes with a fixed-up outer CRC are rejected by the
-        // consumed-length check, never silently ignored.
+        // exact-length check, never silently ignored.
         let mut padded = entry.clone();
         padded.push(0xAA);
         let crc = crc32(&padded[GET_BODY..]);
         padded[1..GET_BODY].copy_from_slice(&crc.to_le_bytes());
-        assert!(matches!(decode_partial_entry(&padded), Err(FsError::Comm(_))));
+        assert!(matches!(decode(&padded), Err(FsError::Corrupt(_))));
         // A damaged chunk table fails encode as Corrupt — the daemon's
         // copy is bad, not the request — so handle_get_many can answer
         // the retryable status::ERROR instead of BAD_REQUEST.
@@ -1150,23 +983,23 @@ mod tests {
         raw[crate::pack::CHUNK_HEADER] ^= 0xFF;
         let bad = LocalObject { codec: obj.codec, stat: obj.stat, data: Arc::new(raw) };
         let mut out = Vec::new();
-        assert!(matches!(
-            encode_partial_entry(&mut out, &bad, &spec, &counter),
-            Err(FsError::Corrupt(_))
-        ));
+        assert!(matches!(encode_entry_into(&mut out, &bad, &spec), Err(FsError::Corrupt(_))));
     }
 
     #[test]
     fn partial_entry_with_huge_chunk_count_is_a_typed_error() {
-        // Regression: the chunk count is peer-supplied. A PARTIAL entry
-        // claiming u32::MAX chunks (outer CRC valid, no chunk bytes) must
-        // fail as a typed error, not reserve u32::MAX chunk slots.
-        let mut entry = vec![status::PARTIAL, 0, 0, 0, 0];
-        entry.extend_from_slice(&0u16.to_le_bytes()); // inner codec
+        // Regression: the row count is peer-supplied. An entry whose
+        // FCHK sub-container claims u32::MAX rows (outer CRC valid, no
+        // row bytes) must fail as a typed error, not reserve u32::MAX
+        // row slots.
+        let mut entry = vec![status::OK, 0, 0, 0, 0];
+        entry.extend_from_slice(&crate::pack::CHUNKED.0.to_le_bytes());
         FileStat::regular(0, 0).encode(&mut entry);
+        entry.extend_from_slice(b"FCHK\x01\x00"); // magic, version 1, range kind
+        entry.extend_from_slice(&0u16.to_le_bytes()); // inner codec
         entry.extend_from_slice(&4096u32.to_le_bytes()); // chunk size
         entry.extend_from_slice(&0u64.to_le_bytes()); // raw length
-        entry.extend_from_slice(&u32::MAX.to_le_bytes()); // chunk count
+        entry.extend_from_slice(&u32::MAX.to_le_bytes()); // row count
         let crc = crc32(&entry[GET_BODY..]);
         entry[1..GET_BODY].copy_from_slice(&crc.to_le_bytes());
         let mut reply = vec![status::OK];
@@ -1175,7 +1008,8 @@ mod tests {
         reply.extend_from_slice(&entry);
         assert!(reply.len() < 200, "a small frame: {} bytes", reply.len());
         let items = decode_get_many_reply_v2(&reply, 1).unwrap();
-        assert!(matches!(items[0], Err(FsError::Comm(_))), "got {:?}", items[0]);
+        let table = crate::pack::parse_chunk_table(&items[0].as_ref().unwrap().2);
+        assert!(matches!(table, Err(FsError::Corrupt(_))), "got {table:?}");
     }
 
     #[test]

@@ -17,7 +17,7 @@ use crate::bufpool::BufPool;
 use crate::cache::{CacheConfig, FileCache};
 use crate::meta::{MetaEntry, MetaTable};
 use crate::metrics::{now_us, Counter, Gauge, MetricsRegistry};
-use crate::pack::parse_partition;
+use crate::pack::{parse_partition, RangePieces};
 use crate::stat::FileStat;
 use crate::FsError;
 
@@ -46,8 +46,8 @@ pub struct NodeStats {
     pub local_opens: Arc<Counter>,
     /// Files fetched from a remote daemon (`client.remote.opens`).
     pub remote_opens: Arc<Counter>,
-    /// Compressed bytes pulled over the interconnect
-    /// (`client.remote.bytes`).
+    /// Entry payload bytes pulled over the interconnect — compressed
+    /// objects and FCHK sub-containers alike (`client.remote.bytes`).
     pub remote_bytes: Arc<Counter>,
     /// Remote requests served by this node's daemon
     /// (`daemon.served.requests`).
@@ -349,10 +349,9 @@ impl NodeState {
     }
 
     /// Decode only the chunks of a *local* range-chunked object covering
-    /// raw bytes `[start, end)`. Returns `Ok(None)` when the path is not
-    /// local or not range-chunked (the caller falls back to a whole-file
-    /// or remote read). Each piece carries its chunk index and raw offset
-    /// so callers can install partial cache residency.
+    /// raw bytes `[start, end)` ([`crate::pack::decode_covering`]).
+    /// Returns `Ok(None)` when the path is not local or not range-chunked
+    /// (the caller falls back to a whole-file or remote read).
     pub fn read_local_chunks(
         &self,
         path: &str,
@@ -363,25 +362,15 @@ impl NodeState {
             Some(o) if o.codec == crate::pack::CHUNKED => o,
             _ => return Ok(None),
         };
-        let table = crate::pack::parse_chunk_table(&obj.data)
-            .map_err(|e| FsError::Corrupt(format!("{path}: {e}")))?;
+        let corrupt = |e: FsError| FsError::Corrupt(format!("{path}: {e}"));
+        let table = crate::pack::parse_chunk_table(&obj.data).map_err(corrupt)?;
         if table.kind != crate::pack::ChunkKind::Range {
             return Ok(None);
         }
-        let mut chunks = Vec::new();
-        for idx in table.covering(start, end) {
-            let payload = crate::pack::chunk_payload(&obj.data, &table, idx)
-                .map_err(|e| FsError::Corrupt(format!("{path}: {e}")))?;
-            let raw = crate::pack::decode_chunk(&table, idx, payload)
-                .map_err(|e| FsError::Corrupt(format!("{path}: {e}")))?;
-            chunks.push(RangeChunk {
-                index: idx as u32,
-                offset: table.chunks[idx].offset,
-                data: Arc::new(raw),
-            });
-        }
+        let pieces =
+            crate::pack::decode_covering(&obj.data, &table, start, end).map_err(corrupt)?;
         self.stats.local_opens.inc();
-        Ok(Some(RangePieces { chunk_size: table.chunk_size, total_len: table.raw_len, chunks }))
+        Ok(Some(pieces))
     }
 
     /// Decode a *local* progressive object at reduced fidelity (tiers
@@ -524,56 +513,6 @@ impl NodeState {
         let had_meta = self.meta.write().remove(path);
         self.cache.purge(path);
         Ok(had_write || had_meta || had_wal)
-    }
-}
-
-/// One decoded chunk of a range read, with its position in the file.
-#[derive(Debug, Clone)]
-pub struct RangeChunk {
-    /// Chunk index in the file's chunk table.
-    pub index: u32,
-    /// First raw byte the chunk covers.
-    pub offset: u64,
-    /// Decoded (raw) chunk bytes.
-    pub data: Arc<Vec<u8>>,
-}
-
-/// The decoded chunks covering one byte range, plus the file geometry a
-/// cache needs to track partial residency.
-#[derive(Debug, Clone)]
-pub struct RangePieces {
-    /// Nominal chunk size of the file.
-    pub chunk_size: u32,
-    /// Total raw file length.
-    pub total_len: u64,
-    /// Covering chunks, in offset order.
-    pub chunks: Vec<RangeChunk>,
-}
-
-impl RangePieces {
-    /// Assemble the bytes of `[start, end)` from the covering chunks.
-    /// Errors if the chunks do not cover the range contiguously.
-    pub fn assemble(&self, start: u64, end: u64) -> Result<Vec<u8>, FsError> {
-        let mut out = Vec::with_capacity((end - start) as usize);
-        let mut at = start;
-        for c in &self.chunks {
-            let c_end = c.offset + c.data.len() as u64;
-            if at < c.offset || at >= c_end {
-                continue;
-            }
-            let take_end = c_end.min(end);
-            out.extend_from_slice(
-                &c.data[(at - c.offset) as usize..(take_end - c.offset) as usize],
-            );
-            at = take_end;
-            if at == end {
-                break;
-            }
-        }
-        if at != end {
-            return Err(FsError::Corrupt(format!("range [{start}, {end}) not covered by chunks")));
-        }
-        Ok(out)
     }
 }
 

@@ -11,6 +11,8 @@
 //! [`CodecId`]; `size` is the *compressed* byte count; `stat.size` holds
 //! the original file size the decoder needs.
 
+use std::sync::Arc;
+
 use fanstore_compress::crc32::crc32;
 use fanstore_compress::{progressive, CodecId};
 
@@ -250,9 +252,18 @@ pub fn is_chunked(data: &[u8]) -> bool {
     data.len() >= 4 && data[..4] == CHUNK_MAGIC
 }
 
-fn encode_container(table: &ChunkTable, payloads: &[Vec<u8>]) -> Vec<u8> {
-    let body: usize = payloads.iter().map(Vec::len).sum();
-    let mut out = Vec::with_capacity(CHUNK_HEADER + table.chunks.len() * CHUNK_ROW + 4 + body);
+/// The one FCHK writer: append a container to `out` with `table`'s header
+/// fields, the rows `rows` and their stored bytes `payloads` (one per
+/// row, in row order). The table CRC covers the bytes this call wrote.
+fn write_container<P: AsRef<[u8]>>(
+    out: &mut Vec<u8>,
+    table: &ChunkTable,
+    rows: &[ChunkMeta],
+    payloads: &[P],
+) {
+    let start = out.len();
+    let body: usize = payloads.iter().map(|p| p.as_ref().len()).sum();
+    out.reserve(CHUNK_HEADER + rows.len() * CHUNK_ROW + 4 + body);
     out.extend_from_slice(&CHUNK_MAGIC);
     out.push(CHUNK_VERSION);
     out.push(match table.kind {
@@ -262,20 +273,38 @@ fn encode_container(table: &ChunkTable, payloads: &[Vec<u8>]) -> Vec<u8> {
     out.extend_from_slice(&table.inner_codec.0.to_le_bytes());
     out.extend_from_slice(&table.chunk_size.to_le_bytes());
     out.extend_from_slice(&table.raw_len.to_le_bytes());
-    out.extend_from_slice(&(table.chunks.len() as u32).to_le_bytes());
-    for c in &table.chunks {
+    out.extend_from_slice(&(rows.len() as u32).to_le_bytes());
+    for c in rows {
         out.extend_from_slice(&c.offset.to_le_bytes());
         out.extend_from_slice(&c.raw_len.to_le_bytes());
         out.extend_from_slice(&c.stored_len.to_le_bytes());
         out.extend_from_slice(&c.crc32.to_le_bytes());
         out.push(c.tier);
     }
-    let table_crc = crc32(&out);
+    let table_crc = crc32(&out[start..]);
     out.extend_from_slice(&table_crc.to_le_bytes());
     for p in payloads {
-        out.extend_from_slice(p);
+        out.extend_from_slice(p.as_ref());
     }
-    out
+}
+
+/// Append to `out` an FCHK sub-container of `data` (parsed as `table`)
+/// holding only rows `idxs` — ascending, as [`ChunkTable::covering`] and
+/// [`ChunkTable::tiers_up_to`] return them — with their stored bytes
+/// unchanged, so each row's at-rest CRC still holds. A ranged or tiered
+/// read ships this instead of the whole object; when `idxs` is every
+/// row, it is `data` itself.
+pub fn write_rows(out: &mut Vec<u8>, data: &[u8], table: &ChunkTable, idxs: &[usize]) {
+    if idxs.len() == table.chunks.len() {
+        out.extend_from_slice(data);
+        return;
+    }
+    let rows: Vec<ChunkMeta> = idxs.iter().map(|&i| table.chunks[i]).collect();
+    let payloads: Vec<&[u8]> = idxs
+        .iter()
+        .map(|&i| &data[table.payload_offset(i)..][..table.chunks[i].stored_len as usize])
+        .collect();
+    write_container(out, table, &rows, &payloads);
 }
 
 /// Build a range-chunked container: split `data` into `chunk_size` slices
@@ -306,7 +335,9 @@ pub fn build_chunked(data: &[u8], chunk_size: usize, inner: CodecId) -> Vec<u8> 
         raw_len: data.len() as u64,
         chunks,
     };
-    encode_container(&table, &payloads)
+    let mut out = Vec::new();
+    write_container(&mut out, &table, &table.chunks, &payloads);
+    out
 }
 
 /// Build a progressive container: `tiers` fidelity tiers (clamped to
@@ -331,11 +362,18 @@ pub fn build_progressive(data: &[u8], tiers: u8) -> Vec<u8> {
         raw_len: data.len() as u64,
         chunks,
     };
-    encode_container(&table, &payloads)
+    let mut out = Vec::new();
+    write_container(&mut out, &table, &table.chunks, &payloads);
+    out
 }
 
 /// Parse an FCHK container's header and chunk table (payloads stay in
-/// place; use [`ChunkTable::payload_offset`] to slice them).
+/// place; use [`ChunkTable::payload_offset`] to slice them). Besides the
+/// table CRC, the geometry is checked: range rows are aligned to
+/// `chunk_size`, strictly increasing, start below `raw_len` and are
+/// exactly `min(chunk_size, raw_len - offset)` wide; progressive row `i`
+/// is tier `i`; and the container ends exactly after its payloads. A
+/// sub-container ([`write_rows`]) passes the same checks.
 pub fn parse_chunk_table(data: &[u8]) -> Result<ChunkTable, FsError> {
     if !is_chunked(data) || data.len() < CHUNK_HEADER + 4 {
         return Err(FsError::Corrupt("not an FCHK container".into()));
@@ -352,6 +390,9 @@ pub fn parse_chunk_table(data: &[u8]) -> Result<ChunkTable, FsError> {
     let chunk_size = u32::from_le_bytes(data[8..12].try_into().expect("4 bytes"));
     let raw_len = u64::from_le_bytes(data[12..20].try_into().expect("8 bytes"));
     let count = u32::from_le_bytes(data[20..24].try_into().expect("4 bytes")) as usize;
+    if kind == ChunkKind::Range && chunk_size == 0 {
+        return Err(FsError::Corrupt("FCHK range container with chunk size 0".into()));
+    }
     let table_end = CHUNK_HEADER + count.saturating_mul(CHUNK_ROW);
     if data.len() < table_end + 4 {
         return Err(FsError::Corrupt("FCHK table truncated".into()));
@@ -360,21 +401,40 @@ pub fn parse_chunk_table(data: &[u8]) -> Result<ChunkTable, FsError> {
     if crc32(&data[..table_end]) != want {
         return Err(FsError::Corrupt("FCHK table checksum mismatch".into()));
     }
-    let mut chunks = Vec::with_capacity(count);
-    let mut pos = CHUNK_HEADER;
+    let cs = u64::from(chunk_size);
+    let mut chunks: Vec<ChunkMeta> = Vec::with_capacity(count);
     let mut payload_bytes = 0usize;
-    for _ in 0..count {
-        let offset = u64::from_le_bytes(data[pos..pos + 8].try_into().expect("8 bytes"));
-        let raw = u32::from_le_bytes(data[pos + 8..pos + 12].try_into().expect("4 bytes"));
-        let stored = u32::from_le_bytes(data[pos + 12..pos + 16].try_into().expect("4 bytes"));
-        let crc = u32::from_le_bytes(data[pos + 16..pos + 20].try_into().expect("4 bytes"));
-        let tier = data[pos + 20];
-        chunks.push(ChunkMeta { offset, raw_len: raw, stored_len: stored, crc32: crc, tier });
-        payload_bytes += stored as usize;
-        pos += CHUNK_ROW;
+    for (i, row) in data[CHUNK_HEADER..table_end].chunks_exact(CHUNK_ROW).enumerate() {
+        let field = |at: usize| u32::from_le_bytes(row[at..at + 4].try_into().expect("4 bytes"));
+        let offset = u64::from_le_bytes(row[..8].try_into().expect("8 bytes"));
+        let c = ChunkMeta {
+            offset,
+            raw_len: field(8),
+            stored_len: field(12),
+            crc32: field(16),
+            tier: row[20],
+        };
+        let fits = match kind {
+            ChunkKind::Progressive => usize::from(c.tier) == i,
+            ChunkKind::Range => {
+                offset < raw_len
+                    && offset % cs == 0
+                    && chunks.last().is_none_or(|p| p.offset < offset)
+                    && u64::from(c.raw_len) == cs.min(raw_len - offset)
+            }
+        };
+        if !fits {
+            return Err(FsError::Corrupt(format!("FCHK row {i} geometry")));
+        }
+        payload_bytes += c.stored_len as usize;
+        chunks.push(c);
     }
-    if data.len() < table_end + 4 + payload_bytes {
-        return Err(FsError::Corrupt("FCHK payloads truncated".into()));
+    if data.len() != table_end + 4 + payload_bytes {
+        return Err(FsError::Corrupt(format!(
+            "FCHK length {} != {} (table + payloads)",
+            data.len(),
+            table_end + 4 + payload_bytes
+        )));
     }
     Ok(ChunkTable { kind, inner_codec, chunk_size, raw_len, chunks })
 }
@@ -399,8 +459,9 @@ pub fn chunk_payload<'a>(
     Ok(payload)
 }
 
-/// Decode one *range* chunk's stored payload to its raw bytes.
-pub fn decode_chunk(table: &ChunkTable, idx: usize, payload: &[u8]) -> Result<Vec<u8>, FsError> {
+/// Verify and decode one *range* chunk to its raw bytes.
+fn decode_chunk(data: &[u8], table: &ChunkTable, idx: usize) -> Result<Vec<u8>, FsError> {
+    let payload = chunk_payload(data, table, idx)?;
     let c = table.chunks[idx];
     if c.stored_len == c.raw_len {
         return Ok(payload.to_vec());
@@ -411,44 +472,98 @@ pub fn decode_chunk(table: &ChunkTable, idx: usize, payload: &[u8]) -> Result<Ve
         .map_err(|e| FsError::Corrupt(format!("chunk {idx}: {e}")))
 }
 
+/// The decoded range chunks covering one byte window, plus the file
+/// geometry a cache needs to track partial residency.
+#[derive(Debug, Clone)]
+pub struct RangePieces {
+    /// Nominal chunk size of the file; chunk `offset / chunk_size` is the
+    /// cache's chunk index.
+    pub chunk_size: u32,
+    /// Total raw file length.
+    pub total_len: u64,
+    /// `(first raw byte, raw bytes)` of each covering chunk, in offset
+    /// order.
+    pub chunks: Vec<(u64, Arc<Vec<u8>>)>,
+}
+
+impl RangePieces {
+    /// Assemble the bytes of `[start, end)` from the covering chunks.
+    /// Errors if the chunks do not cover the range contiguously.
+    pub fn assemble(&self, start: u64, end: u64) -> Result<Vec<u8>, FsError> {
+        let mut out = Vec::with_capacity((end - start) as usize);
+        let mut at = start;
+        for (offset, data) in &self.chunks {
+            let c_end = offset + data.len() as u64;
+            if at < *offset || at >= c_end {
+                continue;
+            }
+            let take_end = c_end.min(end);
+            out.extend_from_slice(&data[(at - offset) as usize..(take_end - offset) as usize]);
+            at = take_end;
+            if at == end {
+                break;
+            }
+        }
+        if at != end {
+            return Err(FsError::Corrupt(format!("range [{start}, {end}) not covered by chunks")));
+        }
+        Ok(out)
+    }
+}
+
+/// Verify and decode the rows of a range container (or sub-container)
+/// covering raw bytes `[start, end)` — the one range decoder, for local
+/// objects and served sub-containers alike.
+pub fn decode_covering(
+    data: &[u8],
+    table: &ChunkTable,
+    start: u64,
+    end: u64,
+) -> Result<RangePieces, FsError> {
+    let chunks = table
+        .covering(start, end)
+        .into_iter()
+        .map(|i| Ok((table.chunks[i].offset, Arc::new(decode_chunk(data, table, i)?))))
+        .collect::<Result<_, FsError>>()?;
+    Ok(RangePieces { chunk_size: table.chunk_size, total_len: table.raw_len, chunks })
+}
+
 /// Decode a whole FCHK container back to the raw file bytes.
 pub fn decode_chunked(data: &[u8]) -> Result<Vec<u8>, FsError> {
     let table = parse_chunk_table(data)?;
     match table.kind {
         ChunkKind::Range => {
-            let mut out = vec![0u8; table.raw_len as usize];
+            // Checked rows that number exactly the chunk slots tile
+            // [0, raw_len): only then is raw_len worth allocating.
+            if table.chunks.len() as u64 != table.raw_len.div_ceil(u64::from(table.chunk_size)) {
+                return Err(FsError::Corrupt("FCHK rows do not tile the file".into()));
+            }
+            let mut out = Vec::with_capacity(table.raw_len as usize);
             for idx in 0..table.chunks.len() {
-                let payload = chunk_payload(data, &table, idx)?;
-                let raw = decode_chunk(&table, idx, payload)?;
-                let c = table.chunks[idx];
-                let at = c.offset as usize;
-                let end = at + c.raw_len as usize;
-                if end > out.len() || raw.len() != c.raw_len as usize {
-                    return Err(FsError::Corrupt(format!("chunk {idx} extent out of range")));
-                }
-                out[at..end].copy_from_slice(&raw);
+                out.extend_from_slice(&decode_chunk(data, &table, idx)?);
             }
             Ok(out)
         }
-        ChunkKind::Progressive => {
-            let payloads: Result<Vec<&[u8]>, FsError> =
-                (0..table.chunks.len()).map(|i| chunk_payload(data, &table, i)).collect();
-            progressive::decode_prefix(&payloads?, table.raw_len as usize)
-                .map_err(|e| FsError::Corrupt(format!("progressive decode: {e}")))
-        }
+        ChunkKind::Progressive => decode_tiers(data, &table, TIER_FULL),
     }
 }
 
 /// Decode a *prefix* of a progressive container's tiers (those with
-/// `tier <= min_tier`) into an approximation of the file.
+/// `tier <= min_tier`) into an approximation of the file; a range
+/// container decodes whole.
 pub fn decode_progressive_prefix(data: &[u8], min_tier: u8) -> Result<Vec<u8>, FsError> {
     let table = parse_chunk_table(data)?;
     if table.kind != ChunkKind::Progressive {
         return decode_chunked(data);
     }
-    let idxs = table.tiers_up_to(min_tier);
+    decode_tiers(data, &table, min_tier)
+}
+
+/// Verify and decode the progressive tiers `<= min_tier` of `data`
+/// (parsed as the progressive `table`).
+pub fn decode_tiers(data: &[u8], table: &ChunkTable, min_tier: u8) -> Result<Vec<u8>, FsError> {
     let payloads: Result<Vec<&[u8]>, FsError> =
-        idxs.iter().map(|&i| chunk_payload(data, &table, i)).collect();
+        table.tiers_up_to(min_tier).into_iter().map(|i| chunk_payload(data, table, i)).collect();
     progressive::decode_prefix(&payloads?, table.raw_len as usize)
         .map_err(|e| FsError::Corrupt(format!("progressive decode: {e}")))
 }
@@ -600,6 +715,100 @@ mod tests {
         assert!(chunk_payload(&packed, &table, 2).is_ok());
         assert!(chunk_payload(&packed, &table, 4).is_ok());
         assert!(decode_chunked(&packed).is_err());
+    }
+
+    /// `packed` with `edit` applied to its header and chunk table and the
+    /// table CRC recomputed: a crafted table that only geometry checks
+    /// can reject.
+    fn reseal(mut packed: Vec<u8>, edit: impl FnOnce(&mut [u8])) -> Vec<u8> {
+        let rows = u32::from_le_bytes(packed[20..24].try_into().unwrap()) as usize;
+        let table_end = CHUNK_HEADER + rows * CHUNK_ROW;
+        edit(&mut packed[..table_end]);
+        let crc = crc32(&packed[..table_end]);
+        packed[table_end..table_end + 4].copy_from_slice(&crc.to_le_bytes());
+        packed
+    }
+
+    /// Overwrite `bytes` at `at` (header fields and row fields alike).
+    fn put(table: &mut [u8], at: usize, bytes: &[u8]) {
+        table[at..at + bytes.len()].copy_from_slice(bytes);
+    }
+
+    /// Byte offset of field `field` of row `row` in a container.
+    fn row_at(row: usize, field: usize) -> usize {
+        CHUNK_HEADER + row * CHUNK_ROW + field
+    }
+
+    #[test]
+    fn rows_wider_than_chunk_size_rejected() {
+        // Three 20-byte rows under a header claiming 10-byte chunks.
+        let packed =
+            reseal(build_chunked(&sample(60), 20, codec()), |t| put(t, 8, &10u32.to_le_bytes()));
+        assert!(parse_chunk_table(&packed).is_err());
+    }
+
+    #[test]
+    fn short_middle_chunk_rejected() {
+        // Row 1 of a 30-byte file in 10-byte chunks claims 2 raw bytes: a
+        // cache holding it would mis-slice every window past it.
+        let packed = reseal(build_chunked(&sample(30), 10, codec()), |t| {
+            put(t, row_at(1, 8), &2u32.to_le_bytes())
+        });
+        assert!(parse_chunk_table(&packed).is_err());
+    }
+
+    #[test]
+    fn misaligned_unordered_or_out_of_file_rows_rejected() {
+        let packed = build_chunked(&sample(60), 20, codec());
+        let misaligned = reseal(packed.clone(), |t| put(t, row_at(1, 0), &25u64.to_le_bytes()));
+        assert!(parse_chunk_table(&misaligned).is_err());
+        let repeated = reseal(packed.clone(), |t| put(t, row_at(2, 0), &20u64.to_le_bytes()));
+        assert!(parse_chunk_table(&repeated).is_err());
+        // raw_len 40 leaves row 2 (offset 40) outside the file.
+        let outside = reseal(packed, |t| put(t, 12, &40u64.to_le_bytes()));
+        assert!(parse_chunk_table(&outside).is_err());
+    }
+
+    #[test]
+    fn huge_raw_len_rejected_before_allocating() {
+        // One valid 64-byte row under a header claiming 2^36 raw bytes:
+        // the row fits, but the rows do not tile the file.
+        let packed = reseal(build_chunked(&sample(64), 64, codec()), |t| {
+            put(t, 12, &(1u64 << 36).to_le_bytes())
+        });
+        assert!(parse_chunk_table(&packed).is_ok(), "a sub-container may skip rows");
+        assert!(decode_chunked(&packed).is_err());
+    }
+
+    #[test]
+    fn progressive_rows_must_be_tiers_in_order() {
+        let vals: Vec<u8> = (0..64u32).flat_map(|i| (i as f32).to_le_bytes()).collect();
+        let packed = reseal(build_progressive(&vals, 3), |t| t[row_at(1, 20)] = 2);
+        assert!(parse_chunk_table(&packed).is_err());
+    }
+
+    #[test]
+    fn trailing_bytes_after_payloads_rejected() {
+        let mut packed = build_chunked(&sample(100), 40, codec());
+        packed.push(0);
+        assert!(parse_chunk_table(&packed).is_err());
+    }
+
+    #[test]
+    fn sub_container_holds_only_the_selected_rows() {
+        let data = sample(1000);
+        let packed = build_chunked(&data, 100, codec());
+        let table = parse_chunk_table(&packed).unwrap();
+        let mut sub = Vec::new();
+        write_rows(&mut sub, &packed, &table, &table.covering(250, 450));
+        let sub_table = parse_chunk_table(&sub).unwrap();
+        assert_eq!(sub_table.chunks, table.chunks[2..5]);
+        let pieces = decode_covering(&sub, &sub_table, 250, 450).unwrap();
+        assert_eq!(pieces.assemble(250, 450).unwrap(), &data[250..450]);
+        // Every row: the stored container as it is.
+        let mut all = Vec::new();
+        write_rows(&mut all, &packed, &table, &(0..table.chunks.len()).collect::<Vec<_>>());
+        assert_eq!(all, packed);
     }
 
     #[test]

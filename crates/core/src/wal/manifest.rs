@@ -18,8 +18,7 @@
 //! | crc32 u32 over everything above
 //! ```
 
-use fanstore_compress::crc32::crc32;
-
+use crate::envelope::{self, Reader};
 use crate::FsError;
 
 /// Manifest magic bytes.
@@ -61,81 +60,40 @@ pub struct WalManifest {
 impl WalManifest {
     /// Serialise, appending the trailing CRC32.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(32 + self.segments.len() * 48);
-        out.extend_from_slice(&MAGIC);
-        out.extend_from_slice(&VERSION.to_le_bytes());
+        let mut out = envelope::begin(MAGIC, VERSION);
         out.extend_from_slice(&self.publish.to_le_bytes());
         out.extend_from_slice(&self.trim_seq.to_le_bytes());
         out.extend_from_slice(&(self.segments.len() as u32).to_le_bytes());
         for s in &self.segments {
-            out.extend_from_slice(&(s.name.len() as u16).to_le_bytes());
-            out.extend_from_slice(s.name.as_bytes());
+            envelope::put_name(&mut out, &s.name);
             out.extend_from_slice(&s.bytes.to_le_bytes());
             out.extend_from_slice(&s.crc.to_le_bytes());
             out.extend_from_slice(&s.first_seq.to_le_bytes());
             out.extend_from_slice(&s.last_seq.to_le_bytes());
             out.extend_from_slice(&s.entries.to_le_bytes());
         }
-        let crc = crc32(&out);
-        out.extend_from_slice(&crc.to_le_bytes());
-        out
+        envelope::seal(out)
     }
 
     /// Decode and CRC-verify a manifest.
     pub fn decode(buf: &[u8]) -> Result<WalManifest, FsError> {
-        let corrupt = |m: &str| FsError::Corrupt(format!("wal manifest: {m}"));
-        if buf.len() < 4 + 2 + 8 + 8 + 4 + 4 {
-            return Err(corrupt("truncated"));
-        }
-        let (body, tail) = buf.split_at(buf.len() - 4);
-        let expect = u32::from_le_bytes(tail.try_into().expect("4 bytes"));
-        let actual = crc32(body);
-        if expect != actual {
-            return Err(corrupt(&format!(
-                "CRC mismatch: stored {expect:08x}, computed {actual:08x}"
-            )));
-        }
-        if body[..4] != MAGIC {
-            return Err(corrupt("bad magic"));
-        }
-        let version = u16::from_le_bytes(body[4..6].try_into().expect("2 bytes"));
-        if version != VERSION {
-            return Err(corrupt(&format!("unsupported version {version}")));
-        }
-        let publish = u64::from_le_bytes(body[6..14].try_into().expect("8 bytes"));
-        let trim_seq = u64::from_le_bytes(body[14..22].try_into().expect("8 bytes"));
-        let count = u32::from_le_bytes(body[22..26].try_into().expect("4 bytes")) as usize;
-        let mut pos = 26usize;
-        let mut segments = Vec::with_capacity(count.min(4096));
-        for i in 0..count {
-            let nlen = u16::from_le_bytes(
-                body.get(pos..pos + 2)
-                    .ok_or_else(|| corrupt("segment truncated"))?
-                    .try_into()
-                    .expect("2 bytes"),
-            ) as usize;
-            pos += 2;
-            let name = std::str::from_utf8(
-                body.get(pos..pos + nlen).ok_or_else(|| corrupt("segment truncated"))?,
-            )
-            .map_err(|_| corrupt(&format!("segment {i} name not utf-8")))?
-            .to_string();
-            pos += nlen;
-            let rest = body.get(pos..pos + 32).ok_or_else(|| corrupt("segment truncated"))?;
-            segments.push(WalSegmentMeta {
-                name,
-                bytes: u64::from_le_bytes(rest[..8].try_into().expect("8 bytes")),
-                crc: u32::from_le_bytes(rest[8..12].try_into().expect("4 bytes")),
-                first_seq: u64::from_le_bytes(rest[12..20].try_into().expect("8 bytes")),
-                last_seq: u64::from_le_bytes(rest[20..28].try_into().expect("8 bytes")),
-                entries: u32::from_le_bytes(rest[28..32].try_into().expect("4 bytes")),
-            });
-            pos += 32;
-        }
-        if pos != body.len() {
-            return Err(corrupt("trailing bytes"));
-        }
-        Ok(WalManifest { publish, trim_seq, segments })
+        let mut r = Reader::open(buf, MAGIC, VERSION, "wal manifest")?;
+        let manifest = WalManifest {
+            publish: u64::from_le_bytes(r.take()?),
+            trim_seq: u64::from_le_bytes(r.take()?),
+            segments: r.list(|r| {
+                Ok(WalSegmentMeta {
+                    name: r.name()?,
+                    bytes: u64::from_le_bytes(r.take()?),
+                    crc: u32::from_le_bytes(r.take()?),
+                    first_seq: u64::from_le_bytes(r.take()?),
+                    last_seq: u64::from_le_bytes(r.take()?),
+                    entries: u32::from_le_bytes(r.take()?),
+                })
+            })?,
+        };
+        r.finish()?;
+        Ok(manifest)
     }
 }
 

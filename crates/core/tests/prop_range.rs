@@ -2,11 +2,13 @@
 //! for arbitrary file contents, chunk sizes, codecs and ranges,
 //! `read_range(path, a, b)` must be byte-identical to
 //! `read_whole(path)[a..b]` from every rank; malformed ranges must fail
-//! with the typed `FsError::BadRange` (never a panic); and a partial
-//! read followed by a full read must leave the cache entry identical to
-//! a cold full read.
+//! with the typed `FsError::BadRange` (never a panic); a partial read
+//! followed by a full read must leave the cache entry identical to a
+//! cold full read; and a tier read served over the wire must equal the
+//! owner's local decode of the same tiers.
 
 use fanstore::cluster::{ClusterConfig, FanStore};
+use fanstore::pack::TIER_FULL;
 use fanstore::prep::{prepare, PrepConfig};
 use fanstore::FsError;
 use fanstore_compress::{CodecFamily, CodecId};
@@ -128,5 +130,36 @@ proptest! {
             prop_assert!(at_end, "rank {rank}: start at EOF must be BadRange");
             prop_assert_eq!(&good[..], &data[..1], "rank {} reads fine after errors", rank);
         }
+    }
+
+    /// `read_whole_tier` on the non-owner — a served FCHK sub-container
+    /// of tiers `0..=t` — equals the owner's local decode for every tier
+    /// and at full fidelity, where both equal the file.
+    #[test]
+    fn remote_tier_reads_match_the_owner(
+        floats in proptest::collection::vec(any::<f32>(), 1..1024),
+        tail in proptest::collection::vec(any::<u8>(), 0..4),
+        tiers in 1u8..=8,
+    ) {
+        let mut data: Vec<u8> = floats.iter().flat_map(|f| f.to_le_bytes()).collect();
+        data.extend_from_slice(&tail);
+        let packed = prepare(
+            vec![("pr/model.f32".to_string(), data.clone())],
+            &PrepConfig { partitions: 1, progressive_tiers: tiers, ..Default::default() },
+        );
+        let results = FanStore::run(
+            ClusterConfig { nodes: 2, ..Default::default() },
+            packed.partitions,
+            move |fs| {
+                (0..tiers)
+                    .chain([TIER_FULL])
+                    .map(|t| fs.read_whole_tier("pr/model.f32", t).expect("tier read"))
+                    .collect::<Vec<_>>()
+            },
+        );
+        for (t, (owner, remote)) in results[0].iter().zip(&results[1]).enumerate() {
+            prop_assert_eq!(owner, remote, "tier index {} of {}", t, tiers);
+        }
+        prop_assert_eq!(results[1].last().expect("full fidelity read"), &data);
     }
 }
